@@ -180,31 +180,15 @@ let specs =
       s_run =
         (fun () ->
           let trials = 12 and batch = 3 and seed = 7 in
-          let tasks =
-            List.init
-              ((trials + batch - 1) / batch)
-              (fun b ->
-                let offset = b * batch in
-                let runs = min batch (trials - offset) in
-                Harness.Fleet.task
-                  ~label:(Printf.sprintf "chaos[%d..%d]" offset (offset + runs - 1))
-                  (fun () ->
-                    let buf = Buffer.create 1024 in
-                    let ppf = Format.formatter_of_buffer buf in
-                    let failed =
-                      Chaos.fuzz ~entries:Chaos.quick_entries ~offset
-                        ~summary:false ~runs ~seed ppf
-                    in
-                    Format.pp_print_flush ppf ();
-                    failed))
-          in
           let jobs = min 4 (Harness.Fleet.default_jobs ()) in
           let host0 = Unix.gettimeofday () in
-          let fails =
-            Harness.Fleet.map ~jobs ~reset:Chaos.fresh_world tasks
+          let failed =
+            Chaos.fleet
+              (Chaos.structure_family Chaos.quick_entries)
+              ~jobs ~trials ~batch ~seed
+              (Format.formatter_of_buffer (Buffer.create 1024))
           in
           let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
-          let failed = List.fold_left ( + ) 0 fails in
           {
             Runner.name = "fleet/chaos-quick";
             topo_name = "host";

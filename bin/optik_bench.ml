@@ -561,6 +561,51 @@ let soak_cmd =
           reproducible, unlike the time-bounded test/soak.exe.")
     Term.(const run $ runs_arg $ seed $ report_arg)
 
+(* The fuzz and replay modes every trial family shares: [chaos] itself,
+   and [kv]/[txn] under --fuzz/--replay. A replay string that does not
+   parse exits 2. Returns the number of failures. *)
+let trial_mode fam ~runs ~seed ~replay ppf =
+  match replay with
+  | Some s -> (
+      try
+        with_host_time (fam.Chaos.command ^ " replay")
+          (fun _ -> 1)
+          (fun () -> Chaos.replay fam s ppf)
+      with Invalid_argument msg ->
+        Printf.eprintf "%s\n" msg;
+        exit 2)
+  | None ->
+      with_host_time
+        (Printf.sprintf "%s fuzz %d trials" fam.Chaos.command runs)
+        (fun _ -> runs)
+        (fun () -> Chaos.fuzz fam ~runs ~seed ppf)
+
+(* Run a trial stream [f ppf] to stdout. With --report it renders into a
+   buffer instead, so the same lines land both on stdout (unchanged
+   bytes) and in the report's "trials" section. Returns the failures. *)
+let trial_stream report ~subcommand ~seed ~params f =
+  match report with
+  | None -> f Format.std_formatter
+  | Some path ->
+      let buf = Buffer.create 8192 in
+      let ppf = Format.formatter_of_buffer buf in
+      let failures = f ppf in
+      Format.pp_print_flush ppf ();
+      let output = Buffer.contents buf in
+      print_string output;
+      let lines =
+        String.split_on_char '\n' output
+        |> List.filter (fun l -> String.trim l <> "")
+      in
+      write_report path
+        (J.make ~subcommand ~seed:(Some seed) ~params ~runs:[]
+           ~sections:
+             [
+               ("failures", J.Int failures);
+               ("trials", J.Arr (List.map (fun l -> J.Str l) lines));
+             ]);
+      failures
+
 (* ---------------- chaos ---------------- *)
 
 let chaos_cmd =
@@ -636,61 +681,23 @@ let chaos_cmd =
       Printf.eprintf "no structures selected\n";
       exit 2
     end;
-    (* With --report the trial stream renders into a buffer so the same
-       lines can land both on stdout (unchanged bytes) and in the report. *)
-    let buf = Buffer.create 8192 in
-    let ppf =
-      if report = None then Format.std_formatter
-      else Format.formatter_of_buffer buf
-    in
+    (* Replay resolves names against the full table, so a repro from a
+       --quick run always parses. *)
     let failures =
-      match replay with
-      | Some s -> (
-          (* Replay resolves names against the full table, so a repro from
-             a --quick run always parses. *)
-          try
-            with_host_time "chaos replay"
-              (fun _ -> 1)
-              (fun () -> Chaos.replay ~entries:Chaos.default_entries s ppf)
-          with Invalid_argument msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 2)
-      | None ->
-          with_host_time
-            (Printf.sprintf "chaos %d trials" runs)
-            (fun _ -> runs)
-            (fun () -> Chaos.fuzz ~entries ~runs ~seed ppf)
+      trial_stream report ~subcommand:"chaos" ~seed
+        ~params:
+          [
+            ("runs", J.Int runs);
+            ("quick", J.Bool quick);
+            ( "structures",
+              match structures with None -> J.Null | Some s -> J.Str s );
+            ("replay", match replay with None -> J.Null | Some s -> J.Str s);
+          ]
+        (trial_mode
+           (Chaos.structure_family
+              (if replay = None then entries else Chaos.default_entries))
+           ~runs ~seed ~replay)
     in
-    Format.pp_print_flush ppf ();
-    (match report with
-    | None -> ()
-    | Some path ->
-        let output = Buffer.contents buf in
-        print_string output;
-        let lines =
-          String.split_on_char '\n' output
-          |> List.filter (fun l -> String.trim l <> "")
-        in
-        write_report path
-          (J.make ~subcommand:"chaos" ~seed:(Some seed)
-             ~params:
-               [
-                 ("runs", J.Int runs);
-                 ("quick", J.Bool quick);
-                 ( "structures",
-                   match structures with
-                   | None -> J.Null
-                   | Some s -> J.Str s );
-                 ( "replay",
-                   match replay with None -> J.Null | Some s -> J.Str s );
-               ]
-             ~runs:[]
-             ~sections:
-               [
-                 ("failures", J.Int failures);
-                 ("trials", J.Arr (List.map (fun l -> J.Str l) lines));
-               ]);
-        Printf.eprintf "[host] wrote report %s\n%!" path);
     if failures > 0 then exit 1
   in
   Cmd.v
@@ -707,7 +714,7 @@ let fleet_cmd =
   let kind =
     Arg.(
       value
-      & opt (enum [ ("chaos", `Chaos); ("kv", `Kv); ("txn", `Txn) ]) `Chaos
+      & opt (enum (List.map (fun k -> (k, k)) [ "chaos"; "kv"; "txn" ])) "chaos"
       & info [ "kind" ] ~docv:"KIND"
           ~doc:
             "Which fuzzer to farm out: $(b,chaos) (registry structures), \
@@ -769,86 +776,40 @@ let fleet_cmd =
       end
       else jobs
     in
-    let kind_name, fuzz_batch =
-      match kind with
-      | `Chaos ->
-          let entries =
-            if quick then Chaos.quick_entries else Chaos.default_entries
-          in
-          ( "chaos",
-            fun ~offset ~runs ppf ->
-              Chaos.fuzz ~entries ~offset ~summary:false ~runs ~seed ppf )
-      | `Kv ->
-          ( "chaos-kv",
-            fun ~offset ~runs ppf ->
-              Chaos.fuzz_kv ~offset ~summary:false ~runs ~seed ppf )
-      | `Txn ->
-          ( "chaos-txn",
-            fun ~offset ~runs ppf ->
-              Chaos.fuzz_txn ~offset ~summary:false ~runs ~seed ppf )
+    if quick && kind <> "chaos" then begin
+      Printf.eprintf "fleet: --quick only applies to --kind chaos\n";
+      exit 2
+    end;
+    let families =
+      [
+        Chaos.Family
+          (Chaos.structure_family
+             (if quick then Chaos.quick_entries else Chaos.default_entries));
+        Chaos.Family Chaos.kv_family;
+        Chaos.Family Chaos.txn_family;
+      ]
     in
-    (* One task per contiguous batch of trial indices. Each task renders
-       into its own buffer with absolute trial indices, so concatenating
-       the buffers in task order reproduces the serial fuzzer's output
-       byte for byte, whatever the jobs/batch split was. *)
-    let tasks =
-      List.init
-        ((trials + batch - 1) / batch)
-        (fun b ->
-          let offset = b * batch in
-          let runs = min batch (trials - offset) in
-          Harness.Fleet.task
-            ~label:(Printf.sprintf "%s[%d..%d]" kind_name offset
-                      (offset + runs - 1))
-            (fun () ->
-              let buf = Buffer.create 4096 in
-              let ppf = Format.formatter_of_buffer buf in
-              let failed = fuzz_batch ~offset ~runs ppf in
-              Format.pp_print_flush ppf ();
-              (failed, Buffer.contents buf)))
-    in
-    let results =
-      with_host_time
-        (Printf.sprintf "fleet %s %d trials (%d jobs)" kind_name trials jobs)
-        (fun _ -> trials)
-        (fun () ->
-          Harness.Fleet.map ~jobs ~reset:Chaos.fresh_world tasks)
-    in
-    let failures = List.fold_left (fun a (f, _) -> a + f) 0 results in
-    let buf = Buffer.create 8192 in
-    List.iter (fun (_, s) -> Buffer.add_string buf s) results;
-    (* The merged summary matches the serial fuzzer's byte for byte (jobs
-       and batch never appear on stdout). *)
-    Buffer.add_string buf
-      (Printf.sprintf "%s: %d/%d trials failed (seed %d)\n" kind_name
-         failures trials seed);
-    let output = Buffer.contents buf in
-    print_string output;
-    (match report with
-    | None -> ()
-    | Some path ->
-        let lines =
-          String.split_on_char '\n' output
-          |> List.filter (fun l -> String.trim l <> "")
-        in
+    match List.find (fun (Chaos.Family f) -> f.Chaos.command = kind) families with
+    | Chaos.Family fam ->
         (* Report params exclude jobs/batch: the report is a function of
            (kind, trials, seed, quick) alone, so fleets of different
            widths diff clean. *)
-        write_report path
-          (J.make ~subcommand:"fleet" ~seed:(Some seed)
-             ~params:
-               [
-                 ("kind", J.Str kind_name);
-                 ("trials", J.Int trials);
-                 ("quick", J.Bool quick);
-               ]
-             ~runs:[]
-             ~sections:
-               [
-                 ("failures", J.Int failures);
-                 ("trials", J.Arr (List.map (fun l -> J.Str l) lines));
-               ]));
-    if failures > 0 then exit 1
+        let failures =
+          trial_stream report ~subcommand:"fleet" ~seed
+            ~params:
+              [
+                ("kind", J.Str fam.Chaos.name);
+                ("trials", J.Int trials);
+                ("quick", J.Bool quick);
+              ]
+            (fun ppf ->
+              with_host_time
+                (Printf.sprintf "fleet %s %d trials (%d jobs)" fam.Chaos.name
+                   trials jobs)
+                (fun _ -> trials)
+                (fun () -> Chaos.fleet fam ~jobs ~trials ~batch ~seed ppf))
+        in
+        if failures > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -1068,25 +1029,10 @@ let kv_cmd =
       exit 2
     end;
     match (fuzz, replay) with
-    | n, _ when n > 0 ->
-        let failed =
-          with_host_time
-            (Printf.sprintf "kv fuzz %d trials" n)
-            (fun _ -> n)
-            (fun () -> Chaos.fuzz_kv ~runs:n ~seed Format.std_formatter)
-        in
-        if failed > 0 then exit 1
-    | _, Some s ->
-        let failures =
-          try
-            with_host_time "kv replay"
-              (fun _ -> 1)
-              (fun () -> Chaos.replay_kv s Format.std_formatter)
-          with Invalid_argument msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 2
-        in
-        if failures > 0 then exit 1
+    | n, r when n > 0 || r <> None ->
+        let replay = if n > 0 then None else r in
+        if trial_mode Chaos.kv_family ~runs:n ~seed ~replay Format.std_formatter > 0
+        then exit 1
     | _ ->
         let plan =
           match faults with
@@ -1371,25 +1317,10 @@ let txn_cmd =
       exit 2
     end;
     match (fuzz, replay) with
-    | n, _ when n > 0 ->
-        let failed =
-          with_host_time
-            (Printf.sprintf "txn fuzz %d trials" n)
-            (fun _ -> n)
-            (fun () -> Chaos.fuzz_txn ~runs:n ~seed Format.std_formatter)
-        in
-        if failed > 0 then exit 1
-    | _, Some s ->
-        let failures =
-          try
-            with_host_time "txn replay"
-              (fun _ -> 1)
-              (fun () -> Chaos.replay_txn s Format.std_formatter)
-          with Invalid_argument msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 2
-        in
-        if failures > 0 then exit 1
+    | n, r when n > 0 || r <> None ->
+        let replay = if n > 0 then None else r in
+        if trial_mode Chaos.txn_family ~runs:n ~seed ~replay Format.std_formatter > 0
+        then exit 1
     | _ ->
         let cfg =
           {

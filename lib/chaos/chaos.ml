@@ -14,6 +14,244 @@ module Fault = Sim.Fault
 module Sched = Sim.Sched
 module Qsbr = Mem.Qsbr.Make (Sim.Sim_rt)
 
+(* ------------------------------------------------------------------ *)
+(* Trial families and the one driver over them                        *)
+
+type failure = { f_oracle : string; f_detail : string }
+type verdict = { v_failures : failure list; v_line : string }
+
+type 'a family = {
+  name : string;
+  command : string;
+  budget : int;
+  to_string : 'a -> string;
+  of_string : string -> 'a;
+  gen : Rng.t -> 'a;
+  candidates : 'a -> 'a list;
+  check : 'a -> verdict;
+}
+
+type any_family = Family : 'a family -> any_family
+
+let fails fam tr = (fam.check tr).v_failures <> []
+
+(* Greedy: take the first candidate that still fails, restart from it,
+   stop at a fixpoint or after [budget] runs (the initial check counts). *)
+let shrink fam tr0 =
+  if not (fails fam tr0) then tr0
+  else begin
+    let runs = ref 1 in
+    let cur = ref tr0 in
+    let improved = ref true in
+    while !improved && !runs < fam.budget do
+      improved := false;
+      (try
+         List.iter
+           (fun c ->
+             if !runs < fam.budget then begin
+               incr runs;
+               if fails fam c then begin
+                 cur := c;
+                 improved := true;
+                 raise Exit
+               end
+             end)
+           (fam.candidates !cur)
+       with Exit -> ())
+    done;
+    !cur
+  end
+
+let report_failures ppf fs =
+  List.iter
+    (fun f -> Format.fprintf ppf "           oracle %-16s %s@." f.f_oracle f.f_detail)
+    fs
+
+let print_summary ppf fam ~failed ~runs ~seed =
+  Format.fprintf ppf "%s: %d/%d trials failed (seed %d)@." fam.name failed runs
+    seed
+
+let fuzz ?(offset = 0) ?(summary = true) fam ~runs ~seed ppf =
+  let failed = ref 0 in
+  for i = offset to offset + runs - 1 do
+    let tr = fam.gen (Rng.create (seed + (i * 1_000_003))) in
+    match (fam.check tr).v_failures with
+    | [] -> Format.fprintf ppf "trial %4d ok   %s@." i (fam.to_string tr)
+    | fs ->
+        incr failed;
+        Format.fprintf ppf "trial %4d FAIL %s@." i (fam.to_string tr);
+        report_failures ppf fs;
+        let small = fam.to_string (shrink fam tr) in
+        Format.fprintf ppf "           shrunk to %s@." small;
+        Format.fprintf ppf "           repro: optik_bench %s --replay '%s'@."
+          fam.command small
+  done;
+  if summary then print_summary ppf fam ~failed:!failed ~runs ~seed;
+  !failed
+
+let replay fam s ppf =
+  let tr = fam.of_string s in
+  let v = fam.check tr in
+  Format.fprintf ppf "replay %s@." (fam.to_string tr);
+  Format.fprintf ppf "%s@." v.v_line;
+  (match v.v_failures with
+  | [] -> Format.fprintf ppf "verdict: PASS@."
+  | fs ->
+      report_failures ppf fs;
+      Format.fprintf ppf "verdict: FAIL (%d oracle failures)@."
+        (List.length fs));
+  List.length v.v_failures
+
+(* Restore every piece of the calling domain's simulator world to
+   process-pristine state: the scheduler (counters, packed-line table,
+   fault hook, noise, heap), the fault engine, the observability journal,
+   the probe cells, and every id source trials allocate from (packing
+   groups, lock handles, transaction oids, skip-list level generators).
+   After this, a trial behaves exactly as it would in a fresh process —
+   the reset the fleet runner applies before each task so batch output
+   is byte-identical to serial output. *)
+let fresh_world () =
+  Sim.Sched.reset_world ();
+  Sim.Fault.reset_world ();
+  Obs.Journal.reset_world ();
+  Sim.Sim_rt.Probe.reset_world ();
+  Rt.Group.reset ();
+  Locks.Handle.reset_ids ();
+  Txn.Workload.T.reset_oids ();
+  Dstruct.Sl_common.reset_states ()
+
+(* One task per contiguous batch of trial indices. Each task renders into
+   its own buffer with absolute trial indices, so concatenating the
+   buffers in task order reproduces the serial fuzzer's output byte for
+   byte, whatever the jobs/batch split was. *)
+let batch_tasks fam ~trials ~batch ~seed =
+  List.init
+    ((trials + batch - 1) / batch)
+    (fun b ->
+      let offset = b * batch in
+      let runs = min batch (trials - offset) in
+      Harness.Fleet.task
+        ~label:(Printf.sprintf "%s[%d..%d]" fam.name offset (offset + runs - 1))
+        (fun () ->
+          let buf = Buffer.create 4096 in
+          let ppf = Format.formatter_of_buffer buf in
+          let failed = fuzz ~offset ~summary:false fam ~runs ~seed ppf in
+          Format.pp_print_flush ppf ();
+          (failed, Buffer.contents buf)))
+
+let fleet fam ~jobs ~trials ~batch ~seed ppf =
+  let results =
+    Harness.Fleet.map ~jobs ~reset:fresh_world
+      (batch_tasks fam ~trials ~batch ~seed)
+  in
+  List.iter (fun (_, out) -> Format.pp_print_string ppf out) results;
+  let failed = List.fold_left (fun a (f, _) -> a + f) 0 results in
+  print_summary ppf fam ~failed ~runs:trials ~seed;
+  failed
+
+(* ------------------------------------------------------------------ *)
+(* The trial-string grammar every family shares                        *)
+
+let has_prefix p s =
+  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+let topo_names = [| "u2"; "u4"; "xeon"; "opteron" |]
+
+let topology_of_name = function
+  | "u2" -> Sim.Topology.uniform ~n:2 ()
+  | "u4" -> Sim.Topology.uniform ~n:4 ()
+  | "xeon" -> Sim.Topology.xeon
+  | "opteron" -> Sim.Topology.opteron
+  | s -> invalid_arg (Printf.sprintf "Chaos: unknown topology %S" s)
+
+let parse_error fmt = Printf.ksprintf invalid_arg ("Chaos.of_string: " ^^ fmt)
+
+let parse_int what s =
+  match int_of_string_opt s with
+  | Some n -> n
+  | None -> parse_error "bad %s %S" what s
+
+(* A [name@topo] head (topology checked), then space-separated tokens
+   [cVALUE], returned as (letter, value) pairs; a bare letter such as
+   txn's [!] has value "". *)
+let tokenize what s =
+  match
+    String.split_on_char ' ' (String.trim s) |> List.filter (fun t -> t <> "")
+  with
+  | [] -> parse_error "empty %s" what
+  | head :: toks ->
+      let name, topo =
+        match String.rindex_opt head '@' with
+        | Some i ->
+            ( String.sub head 0 i,
+              String.sub head (i + 1) (String.length head - i - 1) )
+        | None -> parse_error "missing @topology in %S" head
+      in
+      ignore (topology_of_name topo : Sim.Topology.t);
+      ( name,
+        topo,
+        List.map (fun t -> (t.[0], String.sub t 1 (String.length t - 1))) toks )
+
+let bad_token c v = parse_error "bad token %S" (String.make 1 c ^ v)
+
+(* Reject the first violated bound, naming it. *)
+let bounded tr checks =
+  List.iter (fun (ok, msg) -> if not ok then parse_error "%s" msg) checks;
+  tr
+
+(* The [kind/REP] head of a service trial. *)
+let rep_of kind known name =
+  let prefix = kind ^ "/" in
+  if not (has_prefix prefix name) then
+    parse_error "%s trial must start with %s<rep>, got %S" kind prefix name;
+  let n = String.length prefix in
+  let rep = String.sub name n (String.length name - n) in
+  if not (List.mem rep known) then
+    parse_error "unknown %s rep %S (known: %s)" kind rep
+      (String.concat ", " known);
+  rep
+
+(* ------------------------------------------------------------------ *)
+(* Generation and shrinking helpers                                    *)
+
+let pick rng a = a.(Rng.below rng (Array.length a))
+
+let points =
+  [|
+    Rt.Rt_intf.Before_cas;
+    Rt.Rt_intf.After_cas;
+    Rt.Rt_intf.Critical_enter;
+    Rt.Rt_intf.Critical_exit;
+    Rt.Rt_intf.Lock_wait;
+    Rt.Rt_intf.Restart;
+    Rt.Rt_intf.Op_boundary;
+  |]
+
+let replace_nth i x l = List.mapi (fun j y -> if j = i then x else y) l
+
+(* Fault-plan reductions shared by the structure and KV shrinkers: the
+   plan with each spec dropped, then, per halver in turn, with each spec
+   it applies to halved. *)
+let plan_candidates plan halvers =
+  let specs = plan.Fault.specs in
+  let with_specs sp = { plan with Fault.specs = sp } in
+  List.mapi
+    (fun i _ -> with_specs (List.filteri (fun j _ -> j <> i) specs))
+    specs
+  @ List.concat_map
+      (fun halve ->
+        List.concat
+          (List.mapi
+             (fun i sp ->
+               match halve sp with
+               | Some sp' -> [ with_specs (replace_nth i sp' specs) ]
+               | None -> [])
+             specs))
+      halvers
+
+(* ------------------------------------------------------------------ *)
+(* Structure trials                                                    *)
+
 type kind = Lock_free | Blocking
 
 type target =
@@ -56,9 +294,6 @@ let default_entries =
     };
   ]
 
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
 let quick_entries =
   List.filter
     (fun e -> not (has_prefix "sl/" e.e_name || has_prefix "bst/" e.e_name))
@@ -69,9 +304,6 @@ let find_entry entries name =
   | Some e -> e
   | None ->
       invalid_arg (Printf.sprintf "Chaos: unknown structure %S" name)
-
-(* ------------------------------------------------------------------ *)
-(* Trials and their one-line replayable form                           *)
 
 type trial = {
   t_entry : entry;
@@ -86,94 +318,57 @@ type trial = {
   t_plan : Fault.plan;
 }
 
-let topo_names = [| "u2"; "u4"; "xeon"; "opteron" |]
-
-let topology_of_name = function
-  | "u2" -> Sim.Topology.uniform ~n:2 ()
-  | "u4" -> Sim.Topology.uniform ~n:4 ()
-  | "xeon" -> Sim.Topology.xeon
-  | "opteron" -> Sim.Topology.opteron
-  | s -> invalid_arg (Printf.sprintf "Chaos: unknown topology %S" s)
-
 let to_string tr =
   Printf.sprintf "%s@%s t%d o%d k%d q%d r%d n%d w%d f%s" tr.t_entry.e_name
     tr.t_topo tr.t_threads tr.t_ops tr.t_keys tr.t_quantum tr.t_read_slack
     tr.t_noise_bits tr.t_wseed
     (Fault.to_string tr.t_plan)
 
-let parse_error fmt = Printf.ksprintf invalid_arg ("Chaos.of_string: " ^^ fmt)
-
-let parse_int what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> parse_error "bad %s %S" what s
-
-let of_string ?(entries = default_entries) s =
-  match
-    String.split_on_char ' ' (String.trim s)
-    |> List.filter (fun t -> t <> "")
-  with
-  | [] -> parse_error "empty trial"
-  | head :: toks ->
-      let name, topo =
-        match String.rindex_opt head '@' with
-        | Some i ->
-            ( String.sub head 0 i,
-              String.sub head (i + 1) (String.length head - i - 1) )
-        | None -> parse_error "missing @topology in %S" head
-      in
-      ignore (topology_of_name topo : Sim.Topology.t);
-      let tr =
-        ref
-          {
-            t_entry = find_entry entries name;
-            t_topo = topo;
-            t_threads = 2;
-            t_ops = 1;
-            t_keys = 2;
-            t_quantum = Sched.default_quantum;
-            t_read_slack = 0;
-            t_noise_bits = 62;
-            t_wseed = 0;
-            t_plan = { Fault.seed = 0; specs = [] };
-          }
-      in
-      List.iter
-        (fun tok ->
-          if String.length tok < 2 then parse_error "bad token %S" tok
-          else
-            let v = String.sub tok 1 (String.length tok - 1) in
-            match tok.[0] with
-            | 't' -> tr := { !tr with t_threads = parse_int "threads" v }
-            | 'o' -> tr := { !tr with t_ops = parse_int "ops" v }
-            | 'k' -> tr := { !tr with t_keys = parse_int "keys" v }
-            | 'q' -> tr := { !tr with t_quantum = parse_int "quantum" v }
-            | 'r' -> tr := { !tr with t_read_slack = parse_int "read-slack" v }
-            | 'n' -> tr := { !tr with t_noise_bits = parse_int "noise-bits" v }
-            | 'w' -> tr := { !tr with t_wseed = parse_int "workload seed" v }
-            | 'f' -> tr := { !tr with t_plan = Fault.of_string v }
-            | _ -> parse_error "bad token %S" tok)
-        toks;
-      let tr = !tr in
-      if tr.t_threads < 1 || tr.t_ops < 1 || tr.t_keys < 1 then
-        parse_error "threads/ops/keys must be positive";
-      tr
-
-(* ------------------------------------------------------------------ *)
-(* Running one trial                                                   *)
-
-type failure = { f_oracle : string; f_detail : string }
+let of_string entries s =
+  let name, topo, toks = tokenize "trial" s in
+  let tr =
+    List.fold_left
+      (fun tr (c, v) ->
+        let n what = parse_int what v in
+        match c with
+        | 't' -> { tr with t_threads = n "threads" }
+        | 'o' -> { tr with t_ops = n "ops" }
+        | 'k' -> { tr with t_keys = n "keys" }
+        | 'q' -> { tr with t_quantum = n "quantum" }
+        | 'r' -> { tr with t_read_slack = n "read-slack" }
+        | 'n' -> { tr with t_noise_bits = n "noise-bits" }
+        | 'w' -> { tr with t_wseed = n "workload seed" }
+        | 'f' -> { tr with t_plan = Fault.of_string v }
+        | _ -> bad_token c v)
+      {
+        t_entry = find_entry entries name;
+        t_topo = topo;
+        t_threads = 2;
+        t_ops = 1;
+        t_keys = 2;
+        t_quantum = Sched.default_quantum;
+        t_read_slack = 0;
+        t_noise_bits = 62;
+        t_wseed = 0;
+        t_plan = { Fault.seed = 0; specs = [] };
+      }
+      toks
+  in
+  bounded tr
+    [
+      ( tr.t_threads >= 1 && tr.t_ops >= 1 && tr.t_keys >= 1,
+        "threads/ops/keys must be positive" );
+      (tr.t_quantum >= 1, "quantum must be >= 1");
+      (tr.t_read_slack >= 0, "read slack must be >= 0");
+      ( tr.t_noise_bits >= 0 && tr.t_noise_bits <= 62,
+        "noise bits must be in 0..62" );
+    ]
 
 type outcome = {
-  o_trial : trial;
   o_completed : bool;
   o_crashed : int list;
   o_failures : failure list;
 }
-
-module Hist_set = Harness.History.Make (Lincheck.Set_spec)
-module Hist_queue = Harness.History.Make (Lincheck.Queue_spec)
-module Hist_stack = Harness.History.Make (Lincheck.Stack_spec)
 
 (* Aggressive watchdog: chaos workloads are a handful of operations, so
    anything that spins a million cycles without completing one is stuck. *)
@@ -250,33 +445,6 @@ let qsbr_failures q crashed =
       };
     ]
 
-let size_failure ~final ~base ~init ~plus ~minus ~p_plus ~p_minus =
-  if final >= base - p_minus && final <= base + p_plus then []
-  else
-    [
-      {
-        f_oracle = "size";
-        f_detail =
-          Printf.sprintf
-            "final size %d outside [%d,%d] (init %d, +%d, -%d, pending +%d/-%d)"
-            final (base - p_minus) (base + p_plus) init plus minus p_plus
-            p_minus;
-      };
-    ]
-
-let lincheck_failure result ~completed ~pending =
-  match result with
-  | `Witness | `Too_large -> []
-  | `No_witness ->
-      [
-        {
-          f_oracle = "linearizability";
-          f_detail =
-            Printf.sprintf "no linearization of %d completed + %d pending ops"
-              completed pending;
-        };
-      ]
-
 let count f l = List.length (List.filter f l)
 
 (* Crashing a blocking structure inside an operation voids its state
@@ -286,52 +454,157 @@ let count f l = List.length (List.filter f l)
    warranty. Lock-free structures promise crash-consistency everywhere. *)
 let state_unwarranted kind crash_pts = kind = Blocking && crash_mid_op crash_pts
 
-let run_set tr (module S : R.SET_OPS) =
-  let module Sp = Lincheck.Set_spec in
-  let module L = Hist_set.L in
-  (* Capacity far above the key range so array maps and hash tables never
-     refuse an insert the sequential spec would accept. *)
-  let t = S.create ~capacity:((4 * tr.t_keys) + 16) () in
-  let init = ref Sp.M.empty in
-  let rng0 = Rng.create (tr.t_wseed + 7919) in
-  for _ = 1 to tr.t_keys / 2 do
-    let k = 1 + Rng.below rng0 tr.t_keys in
-    if S.insert t k (500 + k) then init := Sp.M.add k (500 + k) !init
-  done;
-  let hist = Hist_set.create ~nthreads:tr.t_threads in
+(* What the one structure runner needs to know about a target. [create]
+   builds and prefills it, yielding the spec's initial state and size;
+   [draw] takes one op from the thread's rng ([v] is the value to add);
+   [apply] runs it, returning any value it unlinked for QSBR retirement;
+   [moves] says how an op moves the size: +1 or -1 for a completed op
+   that did, or a pending one (output [None]) that might have. *)
+module type TARGET = sig
+  module Sp : Lincheck.SPEC
+
+  type t
+
+  val create : keys:int -> wseed:int -> t * Sp.state * int
+  val draw : Rng.t -> keys:int -> v:int -> Sp.input
+  val apply : t -> Sp.input -> Sp.output * int option
+  val moves : Sp.input -> Sp.output option -> int
+  val size : t -> int
+  val validate : t -> bool
+end
+
+let set_target (module S : R.SET_OPS) : (module TARGET) =
+  (module struct
+    module Sp = Lincheck.Set_spec
+
+    type t = S.t
+
+    let create ~keys ~wseed =
+      (* Capacity far above the key range so array maps and hash tables
+         never refuse an insert the sequential spec would accept. *)
+      let t = S.create ~capacity:((4 * keys) + 16) () in
+      let init = ref Sp.M.empty in
+      let rng0 = Rng.create (wseed + 7919) in
+      for _ = 1 to keys / 2 do
+        let k = 1 + Rng.below rng0 keys in
+        if S.insert t k (500 + k) then init := Sp.M.add k (500 + k) !init
+      done;
+      (t, !init, Sp.M.cardinal !init)
+
+    let draw rng ~keys ~v =
+      let k = 1 + Rng.below rng keys in
+      match Rng.below rng 3 with
+      | 0 -> Sp.Search k
+      | 1 -> Sp.Insert (k, v)
+      | _ -> Sp.Delete k
+
+    let apply t = function
+      | Sp.Search k ->
+          ( (match S.search t k with Some v -> Sp.Found v | None -> Sp.Absent),
+            None )
+      | Sp.Insert (k, v) -> ((if S.insert t k v then Sp.Ok else Sp.Dup), None)
+      | Sp.Delete k -> (
+          match S.delete t k with
+          | Some v -> (Sp.Found v, Some v)
+          | None -> (Sp.Absent, None))
+
+    let moves input output =
+      match (input, output) with
+      | Sp.Insert _, (None | Some Sp.Ok) -> 1
+      | Sp.Delete _, (None | Some (Sp.Found _)) -> -1
+      | _ -> 0
+
+    let size = S.size
+    let validate = S.validate
+  end)
+
+(* Queues and stacks prefill [keys / 2] values and flip a coin per op. *)
+let queue_target (module Qu : R.QUEUE_OPS) : (module TARGET) =
+  (module struct
+    module Sp = Lincheck.Queue_spec
+
+    type t = Qu.t
+
+    let create ~keys ~wseed:_ =
+      let qu = Qu.create () in
+      let prefill = List.init (keys / 2) (fun j -> 901 + j) in
+      List.iter (Qu.enqueue qu) prefill;
+      (qu, (prefill, []), keys / 2)
+
+    let draw rng ~keys:_ ~v =
+      if Rng.below rng 2 = 0 then Sp.Enqueue v else Sp.Dequeue
+
+    let apply qu = function
+      | Sp.Enqueue v ->
+          Qu.enqueue qu v;
+          (Sp.Unit, None)
+      | Sp.Dequeue -> (
+          match Qu.dequeue qu with
+          | Some v -> (Sp.Got v, Some v)
+          | None -> (Sp.Empty, None))
+
+    let moves input output =
+      match (input, output) with
+      | Sp.Enqueue _, _ -> 1
+      | Sp.Dequeue, (None | Some (Sp.Got _)) -> -1
+      | _ -> 0
+
+    let size = Qu.size
+    let validate _ = true
+  end)
+
+let stack_target (module St : R.STACK_OPS) : (module TARGET) =
+  (module struct
+    module Sp = Lincheck.Stack_spec
+
+    type t = St.t
+
+    let create ~keys ~wseed:_ =
+      let st = St.create () in
+      let prefill = List.init (keys / 2) (fun j -> 901 + j) in
+      List.iter (St.push st) prefill;
+      (st, List.rev prefill, keys / 2)
+
+    let draw rng ~keys:_ ~v = if Rng.below rng 2 = 0 then Sp.Push v else Sp.Pop
+
+    let apply st = function
+      | Sp.Push v ->
+          St.push st v;
+          (Sp.Unit, None)
+      | Sp.Pop -> (
+          match St.pop st with
+          | Some v -> (Sp.Got v, Some v)
+          | None -> (Sp.Empty, None))
+
+    let moves input output =
+      match (input, output) with
+      | Sp.Push _, _ -> 1
+      | Sp.Pop, (None | Some (Sp.Got _)) -> -1
+      | _ -> 0
+
+    let size = St.size
+    let validate _ = true
+  end)
+
+let run_target tr (module T : TARGET) =
+  let module H = Harness.History.Make (T.Sp) in
+  let module L = H.L in
+  let t, init, init_n = T.create ~keys:tr.t_keys ~wseed:tr.t_wseed in
+  let hist = H.create ~nthreads:tr.t_threads in
   let q = Qsbr.create ~batch_size:4 () in
   let _stats, outcome =
     exec_trial tr (fun tid ->
         let rng = Rng.create ((tr.t_wseed * 131) + tid) in
         for i = 1 to tr.t_ops do
-          let k = 1 + Rng.below rng tr.t_keys in
-          (match Rng.below rng 3 with
-          | 0 ->
-              ignore
-                (Hist_set.record hist (Sp.Search k) (fun () ->
-                     Qsbr.op_begin q;
-                     let r = S.search t k in
-                     Qsbr.op_end q;
-                     match r with Some v -> Sp.Found v | None -> Sp.Absent)
-                  : Sp.output)
-          | 1 ->
-              let v = ((tid + 1) * 1000) + i in
-              ignore
-                (Hist_set.record hist (Sp.Insert (k, v)) (fun () ->
-                     Qsbr.op_begin q;
-                     let ok = S.insert t k v in
-                     Qsbr.op_end q;
-                     if ok then Sp.Ok else Sp.Dup)
-                  : Sp.output)
-          | _ ->
-              ignore
-                (Hist_set.record hist (Sp.Delete k) (fun () ->
-                     Qsbr.op_begin q;
-                     let r = S.delete t k in
-                     (match r with Some v -> Qsbr.retire q v | None -> ());
-                     Qsbr.op_end q;
-                     match r with Some v -> Sp.Found v | None -> Sp.Absent)
-                  : Sp.output));
+          let input = T.draw rng ~keys:tr.t_keys ~v:(((tid + 1) * 1000) + i) in
+          ignore
+            (H.record hist input (fun () ->
+                 Qsbr.op_begin q;
+                 let output, unlinked = T.apply t input in
+                 Option.iter (Qsbr.retire q) unlinked;
+                 Qsbr.op_end q;
+                 output)
+              : T.Sp.output);
           Sched.tick ();
           Sched.work (32 + Rng.below rng 64)
         done)
@@ -342,241 +615,63 @@ let run_set tr (module S : R.SET_OPS) =
   let state_fail =
     if live_fail <> [] || state_unwarranted tr.t_entry.e_kind crash_pts then []
     else
-      let completed = Hist_set.completed ~widen:tr.t_read_slack hist in
-      let pending = Hist_set.pending ~widen:tr.t_read_slack hist in
+      let completed = H.completed ~widen:tr.t_read_slack hist in
+      let pending = H.pending ~widen:tr.t_read_slack hist in
       let lin =
-        lincheck_failure
-          (match L.check ~init:!init ~pending completed with
-          | L.Witness _ -> `Witness
-          | L.No_witness -> `No_witness
-          | L.Too_large -> `Too_large)
-          ~completed:(List.length completed)
-          ~pending:(List.length pending)
+        match L.check ~init ~pending completed with
+        | L.Witness _ | L.Too_large -> []
+        | L.No_witness ->
+            [
+              {
+                f_oracle = "linearizability";
+                f_detail =
+                  Printf.sprintf
+                    "no linearization of %d completed + %d pending ops"
+                    (List.length completed) (List.length pending);
+              };
+            ]
       in
-      let ins_ok =
-        count
-          (fun (e : L.event) ->
-            match (e.input, e.output) with Sp.Insert _, Sp.Ok -> true | _ -> false)
+      let moved =
+        List.map
+          (fun (e : L.event) -> T.moves e.input (Some e.output))
           completed
       in
-      let del_found =
-        count
-          (fun (e : L.event) ->
-            match (e.input, e.output) with
-            | Sp.Delete _, Sp.Found _ -> true
-            | _ -> false)
-          completed
+      let may_move =
+        List.map (fun (p : L.pending) -> T.moves p.p_input None) pending
       in
-      let p_ins =
-        count
-          (fun (p : L.pending) ->
-            match p.p_input with Sp.Insert _ -> true | _ -> false)
-          pending
-      in
-      let p_del =
-        count
-          (fun (p : L.pending) ->
-            match p.p_input with Sp.Delete _ -> true | _ -> false)
-          pending
-      in
-      let init_n = Sp.M.cardinal !init in
-      let base = init_n + ins_ok - del_found in
+      let plus = count (( = ) 1) moved and minus = count (( = ) (-1)) moved in
+      let p_plus = count (( = ) 1) may_move in
+      let p_minus = count (( = ) (-1)) may_move in
+      let base = init_n + plus - minus in
+      let final = T.size t in
       let size =
-        size_failure ~final:(S.size t) ~base ~init:init_n ~plus:ins_ok
-          ~minus:del_found ~p_plus:p_ins ~p_minus:p_del
+        if final >= base - p_minus && final <= base + p_plus then []
+        else
+          [
+            {
+              f_oracle = "size";
+              f_detail =
+                Printf.sprintf
+                  "final size %d outside [%d,%d] (init %d, +%d, -%d, pending \
+                   +%d/-%d)"
+                  final (base - p_minus) (base + p_plus) init_n plus minus
+                  p_plus p_minus;
+            };
+          ]
       in
       let valid =
-        if S.validate t then []
+        if T.validate t then []
         else [ { f_oracle = "validate"; f_detail = "validation failed" } ]
       in
       lin @ size @ valid
   in
   let qsbr_fail = qsbr_failures q crashed in
-  ( (match outcome with Harness.Runner.Complete -> true | _ -> false),
-    crashed,
-    live_fail @ state_fail @ qsbr_fail )
-
-let run_queue tr (module Qu : R.QUEUE_OPS) =
-  let module Sp = Lincheck.Queue_spec in
-  let module L = Hist_queue.L in
-  let qu = Qu.create () in
-  let npre = tr.t_keys / 2 in
-  let prefill = List.init npre (fun j -> 901 + j) in
-  List.iter (Qu.enqueue qu) prefill;
-  let init : Sp.state = (prefill, []) in
-  let hist = Hist_queue.create ~nthreads:tr.t_threads in
-  let q = Qsbr.create ~batch_size:4 () in
-  let _stats, outcome =
-    exec_trial tr (fun tid ->
-        let rng = Rng.create ((tr.t_wseed * 131) + tid) in
-        for i = 1 to tr.t_ops do
-          (if Rng.below rng 2 = 0 then
-             let v = ((tid + 1) * 1000) + i in
-             ignore
-               (Hist_queue.record hist (Sp.Enqueue v) (fun () ->
-                    Qsbr.op_begin q;
-                    Qu.enqueue qu v;
-                    Qsbr.op_end q;
-                    Sp.Unit)
-                 : Sp.output)
-           else
-             ignore
-               (Hist_queue.record hist Sp.Dequeue (fun () ->
-                    Qsbr.op_begin q;
-                    let r = Qu.dequeue qu in
-                    (match r with Some v -> Qsbr.retire q v | None -> ());
-                    Qsbr.op_end q;
-                    match r with Some v -> Sp.Got v | None -> Sp.Empty)
-                 : Sp.output));
-          Sched.tick ();
-          Sched.work (32 + Rng.below rng 64)
-        done)
-  in
-  let crash_pts = crash_events () in
-  let crashed = List.sort_uniq compare (List.map fst crash_pts) in
-  let live_fail = liveness_failures tr.t_entry.e_kind outcome crash_pts in
-  let state_fail =
-    if live_fail <> [] || state_unwarranted tr.t_entry.e_kind crash_pts then []
-    else
-      let completed = Hist_queue.completed ~widen:tr.t_read_slack hist in
-      let pending = Hist_queue.pending ~widen:tr.t_read_slack hist in
-      let lin =
-        lincheck_failure
-          (match L.check ~init ~pending completed with
-          | L.Witness _ -> `Witness
-          | L.No_witness -> `No_witness
-          | L.Too_large -> `Too_large)
-          ~completed:(List.length completed)
-          ~pending:(List.length pending)
-      in
-      let enq_done =
-        count
-          (fun (e : L.event) ->
-            match e.input with Sp.Enqueue _ -> true | _ -> false)
-          completed
-      in
-      let deq_got =
-        count
-          (fun (e : L.event) ->
-            match (e.input, e.output) with
-            | Sp.Dequeue, Sp.Got _ -> true
-            | _ -> false)
-          completed
-      in
-      let p_enq =
-        count
-          (fun (p : L.pending) ->
-            match p.p_input with Sp.Enqueue _ -> true | _ -> false)
-          pending
-      in
-      let p_deq =
-        count
-          (fun (p : L.pending) ->
-            match p.p_input with Sp.Dequeue -> true | _ -> false)
-          pending
-      in
-      let base = npre + enq_done - deq_got in
-      let size =
-        size_failure ~final:(Qu.size qu) ~base ~init:npre ~plus:enq_done
-          ~minus:deq_got ~p_plus:p_enq ~p_minus:p_deq
-      in
-      lin @ size
-  in
-  let qsbr_fail = qsbr_failures q crashed in
-  ( (match outcome with Harness.Runner.Complete -> true | _ -> false),
-    crashed,
-    live_fail @ state_fail @ qsbr_fail )
-
-let run_stack tr (module St : R.STACK_OPS) =
-  let module Sp = Lincheck.Stack_spec in
-  let module L = Hist_stack.L in
-  let st = St.create () in
-  let npre = tr.t_keys / 2 in
-  let prefill = List.init npre (fun j -> 901 + j) in
-  List.iter (St.push st) prefill;
-  let init : Sp.state = List.rev prefill in
-  let hist = Hist_stack.create ~nthreads:tr.t_threads in
-  let q = Qsbr.create ~batch_size:4 () in
-  let _stats, outcome =
-    exec_trial tr (fun tid ->
-        let rng = Rng.create ((tr.t_wseed * 131) + tid) in
-        for i = 1 to tr.t_ops do
-          (if Rng.below rng 2 = 0 then
-             let v = ((tid + 1) * 1000) + i in
-             ignore
-               (Hist_stack.record hist (Sp.Push v) (fun () ->
-                    Qsbr.op_begin q;
-                    St.push st v;
-                    Qsbr.op_end q;
-                    Sp.Unit)
-                 : Sp.output)
-           else
-             ignore
-               (Hist_stack.record hist Sp.Pop (fun () ->
-                    Qsbr.op_begin q;
-                    let r = St.pop st in
-                    (match r with Some v -> Qsbr.retire q v | None -> ());
-                    Qsbr.op_end q;
-                    match r with Some v -> Sp.Got v | None -> Sp.Empty)
-                 : Sp.output));
-          Sched.tick ();
-          Sched.work (32 + Rng.below rng 64)
-        done)
-  in
-  let crash_pts = crash_events () in
-  let crashed = List.sort_uniq compare (List.map fst crash_pts) in
-  let live_fail = liveness_failures tr.t_entry.e_kind outcome crash_pts in
-  let state_fail =
-    if live_fail <> [] || state_unwarranted tr.t_entry.e_kind crash_pts then []
-    else
-      let completed = Hist_stack.completed ~widen:tr.t_read_slack hist in
-      let pending = Hist_stack.pending ~widen:tr.t_read_slack hist in
-      let lin =
-        lincheck_failure
-          (match L.check ~init ~pending completed with
-          | L.Witness _ -> `Witness
-          | L.No_witness -> `No_witness
-          | L.Too_large -> `Too_large)
-          ~completed:(List.length completed)
-          ~pending:(List.length pending)
-      in
-      let push_done =
-        count
-          (fun (e : L.event) ->
-            match e.input with Sp.Push _ -> true | _ -> false)
-          completed
-      in
-      let pop_got =
-        count
-          (fun (e : L.event) ->
-            match (e.input, e.output) with
-            | Sp.Pop, Sp.Got _ -> true
-            | _ -> false)
-          completed
-      in
-      let p_push =
-        count
-          (fun (p : L.pending) ->
-            match p.p_input with Sp.Push _ -> true | _ -> false)
-          pending
-      in
-      let p_pop =
-        count
-          (fun (p : L.pending) ->
-            match p.p_input with Sp.Pop -> true | _ -> false)
-          pending
-      in
-      let base = npre + push_done - pop_got in
-      let size =
-        size_failure ~final:(St.size st) ~base ~init:npre ~plus:push_done
-          ~minus:pop_got ~p_plus:p_push ~p_minus:p_pop
-      in
-      lin @ size
-  in
-  let qsbr_fail = qsbr_failures q crashed in
-  ( (match outcome with Harness.Runner.Complete -> true | _ -> false),
-    crashed,
-    live_fail @ state_fail @ qsbr_fail )
+  {
+    o_completed =
+      (match outcome with Harness.Runner.Complete -> true | _ -> false);
+    o_crashed = crashed;
+    o_failures = live_fail @ state_fail @ qsbr_fail;
+  }
 
 let run_trial tr =
   (* Reset the process-global state a trial touches, so outcomes depend
@@ -587,32 +682,11 @@ let run_trial tr =
   Fun.protect ~finally:(fun () -> Sched.set_noise_bits saved_noise)
   @@ fun () ->
   Sched.set_noise_bits tr.t_noise_bits;
-  let completed, crashed, failures =
-    match tr.t_entry.e_target with
-    | Set s -> run_set tr s
-    | Queue qm -> run_queue tr qm
-    | Stack sm -> run_stack tr sm
-  in
-  {
-    o_trial = tr;
-    o_completed = completed;
-    o_crashed = crashed;
-    o_failures = failures;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Trial generation                                                    *)
-
-let points =
-  [|
-    Rt.Rt_intf.Before_cas;
-    Rt.Rt_intf.After_cas;
-    Rt.Rt_intf.Critical_enter;
-    Rt.Rt_intf.Critical_exit;
-    Rt.Rt_intf.Lock_wait;
-    Rt.Rt_intf.Restart;
-    Rt.Rt_intf.Op_boundary;
-  |]
+  run_target tr
+    (match tr.t_entry.e_target with
+    | Set s -> set_target s
+    | Queue q -> queue_target q
+    | Stack s -> stack_target s)
 
 let gen_spec rng nthreads =
   let f_point = points.(Rng.below rng (Array.length points)) in
@@ -634,8 +708,6 @@ let gen_spec rng nthreads =
       Fault.Storm { victims; duration = 500 + Rng.below rng 50_000 }
   in
   { Fault.f_tid; f_point; f_hits; f_action }
-
-let pick rng a = a.(Rng.below rng (Array.length a))
 
 let gen_trial entries rng =
   let e = List.nth entries (Rng.below rng (List.length entries)) in
@@ -666,129 +738,54 @@ let gen_trial entries rng =
     t_plan = { Fault.seed; specs = List.rev !specs };
   }
 
-(* ------------------------------------------------------------------ *)
-(* Shrinking                                                           *)
-
-let replace_nth i x l = List.mapi (fun j y -> if j = i then x else y) l
-
 (* Candidate reductions, most aggressive first: losing a whole spec beats
-   halving a duration beats shaving a workload dimension. *)
+   halving a duration beats halving a hit count beats shaving a workload
+   dimension. *)
 let candidates tr =
-  let specs = tr.t_plan.Fault.specs in
-  let with_specs sp = { tr with t_plan = { tr.t_plan with Fault.specs = sp } } in
-  let drops =
-    List.mapi (fun i _ -> with_specs (List.filteri (fun j _ -> j <> i) specs)) specs
-  in
-  let durations =
-    List.concat
-      (List.mapi
-         (fun i (sp : Fault.spec) ->
+  List.map
+    (fun t_plan -> { tr with t_plan })
+    (plan_candidates tr.t_plan
+       [
+         (fun (sp : Fault.spec) ->
            match sp.f_action with
            | Fault.Stall n when n > 1_000 ->
-               [ with_specs (replace_nth i { sp with f_action = Fault.Stall (n / 2) } specs) ]
+               Some { sp with f_action = Fault.Stall (n / 2) }
            | Fault.Storm { victims; duration } when duration > 1_000 ->
-               [
-                 with_specs
-                   (replace_nth i
-                      { sp with f_action = Fault.Storm { victims; duration = duration / 2 } }
-                      specs);
-               ]
-           | _ -> [])
-         specs)
-  in
-  let hits =
-    List.concat
-      (List.mapi
-         (fun i (sp : Fault.spec) ->
-           if sp.f_hits > 1 then
-             [ with_specs (replace_nth i { sp with f_hits = sp.f_hits / 2 } specs) ]
-           else [])
-         specs)
-  in
-  let dims =
-    (if tr.t_threads > 2 then [ { tr with t_threads = tr.t_threads - 1 } ] else [])
-    @ (if tr.t_ops > 1 then [ { tr with t_ops = tr.t_ops - 1 } ] else [])
-    @ if tr.t_keys > 2 then [ { tr with t_keys = tr.t_keys - 1 } ] else []
-  in
-  drops @ durations @ hits @ dims
+               let duration = duration / 2 in
+               Some { sp with f_action = Fault.Storm { victims; duration } }
+           | _ -> None);
+         (fun sp ->
+           if sp.f_hits > 1 then Some { sp with f_hits = sp.f_hits / 2 }
+           else None);
+       ])
+  @ (if tr.t_threads > 2 then [ { tr with t_threads = tr.t_threads - 1 } ]
+     else [])
+  @ (if tr.t_ops > 1 then [ { tr with t_ops = tr.t_ops - 1 } ] else [])
+  @ if tr.t_keys > 2 then [ { tr with t_keys = tr.t_keys - 1 } ] else []
 
-let fails tr = (run_trial tr).o_failures <> []
-
-let shrink ?(budget = 300) tr0 =
-  if not (fails tr0) then tr0
-  else begin
-    let runs = ref 1 in
-    let cur = ref tr0 in
-    let improved = ref true in
-    while !improved && !runs < budget do
-      improved := false;
-      (try
-         List.iter
-           (fun c ->
-             if !runs < budget then begin
-               incr runs;
-               if fails c then begin
-                 cur := c;
-                 improved := true;
-                 raise Exit
-               end
-             end)
-           (candidates !cur)
-       with Exit -> ())
-    done;
-    !cur
-  end
+let structure_family entries =
+  {
+    name = "chaos";
+    command = "chaos";
+    budget = 300;
+    to_string;
+    of_string = of_string entries;
+    gen = gen_trial entries;
+    candidates;
+    check =
+      (fun tr ->
+        let o = run_trial tr in
+        {
+          v_failures = o.o_failures;
+          v_line =
+            Printf.sprintf "run %s; crashed threads [%s]"
+              (if o.o_completed then "completed" else "aborted")
+              (String.concat ";" (List.map string_of_int o.o_crashed));
+        });
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Fuzzing driver                                                      *)
-
-let report_failures ppf fs =
-  List.iter
-    (fun f -> Format.fprintf ppf "           oracle %-16s %s@." f.f_oracle f.f_detail)
-    fs
-
-let fuzz ?(entries = default_entries) ?(offset = 0) ?(summary = true) ~runs
-    ~seed ppf =
-  let failed = ref 0 in
-  for j = 0 to runs - 1 do
-    let i = offset + j in
-    let rng = Rng.create (seed + (i * 1_000_003)) in
-    let tr = gen_trial entries rng in
-    let o = run_trial tr in
-    if o.o_failures = [] then
-      Format.fprintf ppf "trial %4d ok   %s@." i (to_string tr)
-    else begin
-      incr failed;
-      Format.fprintf ppf "trial %4d FAIL %s@." i (to_string tr);
-      report_failures ppf o.o_failures;
-      let small = shrink tr in
-      Format.fprintf ppf "           shrunk to %s@." (to_string small);
-      Format.fprintf ppf "           repro: optik_bench chaos --replay '%s'@."
-        (to_string small)
-    end
-  done;
-  if summary then
-    Format.fprintf ppf "chaos: %d/%d trials failed (seed %d)@." !failed runs
-      seed;
-  !failed
-
-let replay ?(entries = default_entries) s ppf =
-  let tr = of_string ~entries s in
-  let o = run_trial tr in
-  Format.fprintf ppf "replay %s@." (to_string tr);
-  Format.fprintf ppf "run %s; crashed threads [%s]@."
-    (if o.o_completed then "completed" else "aborted")
-    (String.concat ";" (List.map string_of_int o.o_crashed));
-  (if o.o_failures = [] then Format.fprintf ppf "verdict: PASS@."
-   else begin
-     report_failures ppf o.o_failures;
-     Format.fprintf ppf "verdict: FAIL (%d oracle failures)@."
-       (List.length o.o_failures)
-   end);
-  List.length o.o_failures
-
-(* ------------------------------------------------------------------ *)
-(* KV service fuzzing                                                  *)
+(* KV service trials                                                   *)
 
 (* Trials over the sharded KV service: the structure-level oracles above
    do not apply (the service retries, fails over and sheds on purpose);
@@ -827,6 +824,22 @@ type kv_trial = {
   kv_plan : Fault.plan;
 }
 
+(* The KV and transaction oracles both start from the whole run: it must
+   terminate, and every structure must validate. *)
+let run_failures what invalid (m : Harness.Runner.measurement) =
+  (match m.outcome with
+  | Harness.Runner.Complete -> []
+  | Harness.Runner.Aborted rep ->
+      [
+        {
+          f_oracle = "liveness";
+          f_detail =
+            Format.asprintf "%s aborted: %a" what Sched.pp_verdict
+              rep.Sched.r_verdict;
+        };
+      ])
+  @ if m.valid then [] else [ { f_oracle = "validate"; f_detail = invalid } ]
+
 let kv_to_string tr =
   Printf.sprintf "kv/%s@%s s%d t%d o%d k%d R%d C%d w%d D%d B%d f%s" tr.kv_rep
     tr.kv_topo tr.kv_shards tr.kv_threads tr.kv_ops tr.kv_keys tr.kv_read
@@ -834,67 +847,49 @@ let kv_to_string tr =
     (Fault.to_string tr.kv_plan)
 
 let kv_of_string s =
-  match
-    String.split_on_char ' ' (String.trim s)
-    |> List.filter (fun t -> t <> "")
-  with
-  | [] -> parse_error "empty kv trial"
-  | head :: toks ->
-      let name, topo =
-        match String.rindex_opt head '@' with
-        | Some i ->
-            ( String.sub head 0 i,
-              String.sub head (i + 1) (String.length head - i - 1) )
-        | None -> parse_error "missing @topology in %S" head
-      in
-      if not (has_prefix "kv/" name) then
-        parse_error "kv trial must start with kv/<rep>, got %S" name;
-      let rep = String.sub name 3 (String.length name - 3) in
-      if not (List.mem rep Kv.rep_names) then
-        parse_error "unknown kv rep %S (known: %s)" rep
-          (String.concat ", " Kv.rep_names);
-      ignore (topology_of_name topo : Sim.Topology.t);
-      let tr =
-        ref
-          {
-            kv_rep = rep;
-            kv_topo = topo;
-            kv_shards = 1;
-            kv_threads = 2;
-            kv_ops = 100;
-            kv_keys = 64;
-            kv_read = 50;
-            kv_scan = 10;
-            kv_wseed = 0;
-            kv_degraded = Kv.default_policy.Kv.degraded_cycles;
-            kv_batch = Kv.default_policy.Kv.resync_batch;
-            kv_plan = { Fault.seed = 0; specs = [] };
-          }
-      in
-      List.iter
-        (fun tok ->
-          if String.length tok < 2 then parse_error "bad token %S" tok
-          else
-            let v = String.sub tok 1 (String.length tok - 1) in
-            match tok.[0] with
-            | 's' -> tr := { !tr with kv_shards = parse_int "shards" v }
-            | 't' -> tr := { !tr with kv_threads = parse_int "threads" v }
-            | 'o' -> tr := { !tr with kv_ops = parse_int "ops" v }
-            | 'k' -> tr := { !tr with kv_keys = parse_int "keys" v }
-            | 'R' -> tr := { !tr with kv_read = parse_int "read pct" v }
-            | 'C' -> tr := { !tr with kv_scan = parse_int "scan pct" v }
-            | 'w' -> tr := { !tr with kv_wseed = parse_int "workload seed" v }
-            | 'D' -> tr := { !tr with kv_degraded = parse_int "degraded" v }
-            | 'B' -> tr := { !tr with kv_batch = parse_int "batch" v }
-            | 'f' -> tr := { !tr with kv_plan = Fault.of_string v }
-            | _ -> parse_error "bad token %S" tok)
-        toks;
-      let tr = !tr in
-      if tr.kv_shards < 1 || tr.kv_threads < 1 || tr.kv_ops < 1 then
-        parse_error "shards/threads/ops must be positive";
-      if tr.kv_degraded < 0 || tr.kv_batch < 1 then
-        parse_error "degraded window must be >= 0 and batch >= 1";
-      tr
+  let name, topo, toks = tokenize "kv trial" s in
+  let tr =
+    List.fold_left
+      (fun tr (c, v) ->
+        let n what = parse_int what v in
+        match c with
+        | 's' -> { tr with kv_shards = n "shards" }
+        | 't' -> { tr with kv_threads = n "threads" }
+        | 'o' -> { tr with kv_ops = n "ops" }
+        | 'k' -> { tr with kv_keys = n "keys" }
+        | 'R' -> { tr with kv_read = n "read pct" }
+        | 'C' -> { tr with kv_scan = n "scan pct" }
+        | 'w' -> { tr with kv_wseed = n "workload seed" }
+        | 'D' -> { tr with kv_degraded = n "degraded" }
+        | 'B' -> { tr with kv_batch = n "batch" }
+        | 'f' -> { tr with kv_plan = Fault.of_string v }
+        | _ -> bad_token c v)
+      {
+        kv_rep = rep_of "kv" Kv.rep_names name;
+        kv_topo = topo;
+        kv_shards = 1;
+        kv_threads = 2;
+        kv_ops = 100;
+        kv_keys = 64;
+        kv_read = 50;
+        kv_scan = 10;
+        kv_wseed = 0;
+        kv_degraded = Kv.default_policy.Kv.degraded_cycles;
+        kv_batch = Kv.default_policy.Kv.resync_batch;
+        kv_plan = { Fault.seed = 0; specs = [] };
+      }
+      toks
+  in
+  bounded tr
+    [
+      ( tr.kv_shards >= 1 && tr.kv_threads >= 1 && tr.kv_ops >= 1,
+        "shards/threads/ops must be positive" );
+      ( tr.kv_degraded >= 0 && tr.kv_batch >= 1,
+        "degraded window must be >= 0 and batch >= 1" );
+      (tr.kv_keys >= 1, "keys must be positive");
+      ( tr.kv_read >= 0 && tr.kv_scan >= 0 && tr.kv_read + tr.kv_scan <= 100,
+        "read and scan pct must be >= 0 with read + scan <= 100" );
+    ]
 
 let kv_config tr : Kv.config =
   {
@@ -922,23 +917,6 @@ let kv_config tr : Kv.config =
 
 let run_kv_trial tr =
   let m, r = Kv.run (kv_config tr) in
-  let live =
-    match m.Harness.Runner.outcome with
-    | Harness.Runner.Complete -> []
-    | Harness.Runner.Aborted rep ->
-        [
-          {
-            f_oracle = "liveness";
-            f_detail =
-              Format.asprintf "service aborted: %a" Sched.pp_verdict
-                rep.Sched.r_verdict;
-          };
-        ]
-  in
-  let valid =
-    if m.Harness.Runner.valid then []
-    else [ { f_oracle = "validate"; f_detail = "a shard store is invalid" } ]
-  in
   let o = r.Kv.res_oracle in
   let acked =
     if o.Kv.warranted_ok then []
@@ -979,7 +957,7 @@ let run_kv_trial tr =
         | _ -> None)
       (Fault.events ())
   in
-  (m, r, live @ valid @ acked @ voided)
+  (m, r, run_failures "service" "a shard store is invalid" m @ acked @ voided)
 
 let kv_reps = [| "ht-optik"; "ll-optik"; "ll-harris"; "sl-optik" |]
 
@@ -1078,127 +1056,46 @@ let gen_kv_trial rng =
    client threads and ops. Shard count stays put — replica store indices
    are [nshards + i], so changing it would re-address the plan. *)
 let kv_candidates tr =
-  let specs = tr.kv_plan.Fault.specs in
-  let with_specs sp =
-    { tr with kv_plan = { tr.kv_plan with Fault.specs = sp } }
-  in
-  let drops =
-    List.mapi
-      (fun i _ -> with_specs (List.filteri (fun j _ -> j <> i) specs))
-      specs
-  in
-  let windows =
-    List.concat
-      (List.mapi
-         (fun i (sp : Fault.spec) ->
+  List.map
+    (fun kv_plan -> { tr with kv_plan })
+    (plan_candidates tr.kv_plan
+       [
+         (fun (sp : Fault.spec) ->
            match sp.f_action with
            | Fault.Shard_crash { shard; down_for } when down_for > 4_000 ->
-               [
-                 with_specs
-                   (replace_nth i
-                      {
-                        sp with
-                        f_action =
-                          Fault.Shard_crash { shard; down_for = down_for / 2 };
-                      }
-                      specs);
-               ]
+               let down_for = down_for / 2 in
+               Some { sp with f_action = Fault.Shard_crash { shard; down_for } }
            | Fault.Resync_crash { shard; down_for } when down_for > 4_000 ->
-               [
-                 with_specs
-                   (replace_nth i
-                      {
-                        sp with
-                        f_action =
-                          Fault.Resync_crash
-                            { shard; down_for = down_for / 2 };
-                      }
-                      specs);
-               ]
-           | _ -> [])
-         specs)
-  in
-  let dims =
-    (if tr.kv_threads > 2 then [ { tr with kv_threads = tr.kv_threads - 1 } ]
+               let down_for = down_for / 2 in
+               Some { sp with f_action = Fault.Resync_crash { shard; down_for } }
+           | _ -> None);
+       ])
+  @ (if tr.kv_threads > 2 then [ { tr with kv_threads = tr.kv_threads - 1 } ]
      else [])
-    @ (if tr.kv_ops > 100 then [ { tr with kv_ops = tr.kv_ops / 2 } ] else [])
-    @ (if tr.kv_keys > 64 then [ { tr with kv_keys = tr.kv_keys / 2 } ]
-       else [])
-    @ (if tr.kv_degraded > 2_000 then
-         [ { tr with kv_degraded = tr.kv_degraded / 2 } ]
-       else [])
-    @ if tr.kv_batch > 8 then [ { tr with kv_batch = tr.kv_batch / 2 } ]
-      else []
-  in
-  drops @ windows @ dims
+  @ (if tr.kv_ops > 100 then [ { tr with kv_ops = tr.kv_ops / 2 } ] else [])
+  @ (if tr.kv_keys > 64 then [ { tr with kv_keys = tr.kv_keys / 2 } ] else [])
+  @ (if tr.kv_degraded > 2_000 then
+       [ { tr with kv_degraded = tr.kv_degraded / 2 } ]
+     else [])
+  @ if tr.kv_batch > 8 then [ { tr with kv_batch = tr.kv_batch / 2 } ] else []
 
-let kv_fails tr =
-  let _, _, fs = run_kv_trial tr in
-  fs <> []
-
-let kv_shrink ?(budget = 60) tr0 =
-  if not (kv_fails tr0) then tr0
-  else begin
-    let runs = ref 1 in
-    let cur = ref tr0 in
-    let improved = ref true in
-    while !improved && !runs < budget do
-      improved := false;
-      (try
-         List.iter
-           (fun c ->
-             if !runs < budget then begin
-               incr runs;
-               if kv_fails c then begin
-                 cur := c;
-                 improved := true;
-                 raise Exit
-               end
-             end)
-           (kv_candidates !cur)
-       with Exit -> ())
-    done;
-    !cur
-  end
-
-let fuzz_kv ?(offset = 0) ?(summary = true) ~runs ~seed ppf =
-  let failed = ref 0 in
-  for j = 0 to runs - 1 do
-    let i = offset + j in
-    let rng = Rng.create (seed + (i * 1_000_003)) in
-    let tr = gen_kv_trial rng in
-    let _, _, fs = run_kv_trial tr in
-    if fs = [] then
-      Format.fprintf ppf "trial %4d ok   %s@." i (kv_to_string tr)
-    else begin
-      incr failed;
-      Format.fprintf ppf "trial %4d FAIL %s@." i (kv_to_string tr);
-      report_failures ppf fs;
-      let small = kv_shrink tr in
-      Format.fprintf ppf "           shrunk to %s@." (kv_to_string small);
-      Format.fprintf ppf
-        "           repro: optik_bench kv --replay '%s'@."
-        (kv_to_string small)
-    end
-  done;
-  if summary then
-    Format.fprintf ppf "chaos-kv: %d/%d trials failed (seed %d)@." !failed
-      runs seed;
-  !failed
-
-let replay_kv s ppf =
-  let tr = kv_of_string s in
-  let _, r, fs = run_kv_trial tr in
-  Format.fprintf ppf "replay %s@." (kv_to_string tr);
-  Format.fprintf ppf "%s@."
-    (Format.asprintf "%a" Kv.pp_oracle r.Kv.res_oracle);
-  (if fs = [] then Format.fprintf ppf "verdict: PASS@."
-   else begin
-     report_failures ppf fs;
-     Format.fprintf ppf "verdict: FAIL (%d oracle failures)@."
-       (List.length fs)
-   end);
-  List.length fs
+let kv_family =
+  {
+    name = "chaos-kv";
+    command = "kv";
+    budget = 60;
+    to_string = kv_to_string;
+    of_string = kv_of_string;
+    gen = gen_kv_trial;
+    candidates = kv_candidates;
+    check =
+      (fun tr ->
+        let _, r, fs = run_kv_trial tr in
+        {
+          v_failures = fs;
+          v_line = Format.asprintf "%a" Kv.pp_oracle r.Kv.res_oracle;
+        });
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Transaction trials                                                  *)
@@ -1221,61 +1118,41 @@ let txn_to_string tr =
     (if tr.x_broken then " !" else "")
 
 let txn_of_string s =
-  match
-    String.split_on_char ' ' (String.trim s)
-    |> List.filter (fun t -> t <> "")
-  with
-  | [] -> parse_error "empty txn trial"
-  | head :: toks ->
-      let name, topo =
-        match String.rindex_opt head '@' with
-        | Some i ->
-            ( String.sub head 0 i,
-              String.sub head (i + 1) (String.length head - i - 1) )
-        | None -> parse_error "missing @topology in %S" head
-      in
-      if not (has_prefix "txn/" name) then
-        parse_error "txn trial must start with txn/<rep>, got %S" name;
-      let rep = String.sub name 4 (String.length name - 4) in
-      if not (List.mem rep Txn.Workload.rep_names) then
-        parse_error "unknown txn rep %S (known: %s)" rep
-          (String.concat ", " Txn.Workload.rep_names);
-      ignore (topology_of_name topo : Sim.Topology.t);
-      let tr =
-        ref
-          {
-            x_rep = rep;
-            x_topo = topo;
-            x_objects = 2;
-            x_accounts = 8;
-            x_threads = 2;
-            x_ops = 200;
-            x_transfer = 70;
-            x_wseed = 0;
-            x_broken = false;
-          }
-      in
-      List.iter
-        (fun tok ->
-          if tok = "!" then tr := { !tr with x_broken = true }
-          else if String.length tok < 2 then parse_error "bad token %S" tok
-          else
-            let v = String.sub tok 1 (String.length tok - 1) in
-            match tok.[0] with
-            | 'b' -> tr := { !tr with x_objects = parse_int "objects" v }
-            | 'a' -> tr := { !tr with x_accounts = parse_int "accounts" v }
-            | 't' -> tr := { !tr with x_threads = parse_int "threads" v }
-            | 'o' -> tr := { !tr with x_ops = parse_int "ops" v }
-            | 'X' -> tr := { !tr with x_transfer = parse_int "transfer pct" v }
-            | 'w' -> tr := { !tr with x_wseed = parse_int "workload seed" v }
-            | _ -> parse_error "bad token %S" tok)
-        toks;
-      let tr = !tr in
-      if tr.x_objects < 1 || tr.x_threads < 1 || tr.x_ops < 1 then
-        parse_error "objects/threads/ops must be positive";
-      if tr.x_objects * tr.x_accounts < 2 then
-        parse_error "need at least two account slots";
-      tr
+  let name, topo, toks = tokenize "txn trial" s in
+  let tr =
+    List.fold_left
+      (fun tr (c, v) ->
+        let n what = parse_int what v in
+        match (c, v) with
+        | '!', "" -> { tr with x_broken = true }
+        | 'b', _ -> { tr with x_objects = n "objects" }
+        | 'a', _ -> { tr with x_accounts = n "accounts" }
+        | 't', _ -> { tr with x_threads = n "threads" }
+        | 'o', _ -> { tr with x_ops = n "ops" }
+        | 'X', _ -> { tr with x_transfer = n "transfer pct" }
+        | 'w', _ -> { tr with x_wseed = n "workload seed" }
+        | _ -> bad_token c v)
+      {
+        x_rep = rep_of "txn" Txn.Workload.rep_names name;
+        x_topo = topo;
+        x_objects = 2;
+        x_accounts = 8;
+        x_threads = 2;
+        x_ops = 200;
+        x_transfer = 70;
+        x_wseed = 0;
+        x_broken = false;
+      }
+      toks
+  in
+  bounded tr
+    [
+      ( tr.x_objects >= 1 && tr.x_threads >= 1 && tr.x_ops >= 1,
+        "objects/threads/ops must be positive" );
+      (tr.x_objects * tr.x_accounts >= 2, "need at least two account slots");
+      ( tr.x_transfer >= 0 && tr.x_transfer <= 100,
+        "transfer pct must be in 0..100" );
+    ]
 
 let txn_config tr : Txn.Workload.config =
   {
@@ -1296,23 +1173,6 @@ let txn_config tr : Txn.Workload.config =
    plus snapshot positioning), structure validity, and liveness. *)
 let run_txn_trial tr =
   let m, r = Txn.Workload.run (txn_config tr) in
-  let live =
-    match m.Harness.Runner.outcome with
-    | Harness.Runner.Complete -> []
-    | Harness.Runner.Aborted rep ->
-        [
-          {
-            f_oracle = "liveness";
-            f_detail =
-              Format.asprintf "workload aborted: %a" Sched.pp_verdict
-                rep.Sched.r_verdict;
-          };
-        ]
-  in
-  let valid =
-    if m.Harness.Runner.valid then []
-    else [ { f_oracle = "validate"; f_detail = "an object is invalid" } ]
-  in
   let o = r.Txn.Workload.res_oracle in
   let serial =
     if o.Txn.Workload.ok then []
@@ -1330,7 +1190,7 @@ let run_txn_trial tr =
         };
       ]
   in
-  (m, r, live @ valid @ serial)
+  (m, r, run_failures "workload" "an object is invalid" m @ serial)
 
 let txn_reps =
   [| "ll-optik"; "map-optik"; "ht-optik"; "sl-optik"; "bst-optik"; "ll-lazy" |]
@@ -1358,91 +1218,22 @@ let txn_candidates tr =
     [ { tr with x_objects = tr.x_objects - 1 } ]
   else []
 
-let txn_fails tr =
-  let _, _, fs = run_txn_trial tr in
-  fs <> []
-
-let txn_shrink ?(budget = 60) tr0 =
-  if not (txn_fails tr0) then tr0
-  else begin
-    let runs = ref 1 in
-    let cur = ref tr0 in
-    let improved = ref true in
-    while !improved && !runs < budget do
-      improved := false;
-      (try
-         List.iter
-           (fun c ->
-             if !runs < budget then begin
-               incr runs;
-               if txn_fails c then begin
-                 cur := c;
-                 improved := true;
-                 raise Exit
-               end
-             end)
-           (txn_candidates !cur)
-       with Exit -> ())
-    done;
-    !cur
-  end
-
-let fuzz_txn ?(offset = 0) ?(summary = true) ~runs ~seed ppf =
-  let failed = ref 0 in
-  for j = 0 to runs - 1 do
-    let i = offset + j in
-    let rng = Rng.create (seed + (i * 1_000_003)) in
-    let tr = gen_txn_trial rng in
-    let _, _, fs = run_txn_trial tr in
-    if fs = [] then
-      Format.fprintf ppf "trial %4d ok   %s@." i (txn_to_string tr)
-    else begin
-      incr failed;
-      Format.fprintf ppf "trial %4d FAIL %s@." i (txn_to_string tr);
-      report_failures ppf fs;
-      let small = txn_shrink tr in
-      Format.fprintf ppf "           shrunk to %s@." (txn_to_string small);
-      Format.fprintf ppf
-        "           repro: optik_bench txn --replay '%s'@."
-        (txn_to_string small)
-    end
-  done;
-  if summary then
-    Format.fprintf ppf "chaos-txn: %d/%d trials failed (seed %d)@." !failed
-      runs seed;
-  !failed
-
-let replay_txn s ppf =
-  let tr = txn_of_string s in
-  let _, r, fs = run_txn_trial tr in
-  Format.fprintf ppf "replay %s@." (txn_to_string tr);
-  Format.fprintf ppf "%s@."
-    (Format.asprintf "%a" Txn.Workload.pp_oracle r.Txn.Workload.res_oracle);
-  (if fs = [] then Format.fprintf ppf "verdict: PASS@."
-   else begin
-     report_failures ppf fs;
-     Format.fprintf ppf "verdict: FAIL (%d oracle failures)@."
-       (List.length fs)
-   end);
-  List.length fs
-
-(* ------------------------------------------------------------------ *)
-(* World reset                                                         *)
-
-(* Restore every piece of the calling domain's simulator world to
-   process-pristine state: the scheduler (counters, packed-line table,
-   fault hook, noise, heap), the fault engine, the observability journal,
-   the probe cells, and every id source trials allocate from (packing
-   groups, lock handles, transaction oids, skip-list level generators).
-   After this, a trial behaves exactly as it would in a fresh process —
-   the reset the fleet runner applies before each task so batch output
-   is byte-identical to serial output. *)
-let fresh_world () =
-  Sim.Sched.reset_world ();
-  Sim.Fault.reset_world ();
-  Obs.Journal.reset_world ();
-  Sim.Sim_rt.Probe.reset_world ();
-  Rt.Group.reset ();
-  Locks.Handle.reset_ids ();
-  Txn.Workload.T.reset_oids ();
-  Dstruct.Sl_common.reset_states ()
+let txn_family =
+  {
+    name = "chaos-txn";
+    command = "txn";
+    budget = 60;
+    to_string = txn_to_string;
+    of_string = txn_of_string;
+    gen = gen_txn_trial;
+    candidates = txn_candidates;
+    check =
+      (fun tr ->
+        let _, r, fs = run_txn_trial tr in
+        {
+          v_failures = fs;
+          v_line =
+            Format.asprintf "%a" Txn.Workload.pp_oracle
+              r.Txn.Workload.res_oracle;
+        });
+  }

@@ -1,12 +1,93 @@
 (** Chaos engine: randomized fault/schedule fuzzing over the registry
-    structures, with crash-aware linearizability checking and
-    counterexample shrinking.
+    structures, the KV service and the transaction manager, with
+    crash-aware oracles and counterexample shrinking.
+
+    Determinism: a trial's outcome is a pure function of its one-line
+    string form — fuzzing twice with the same seed produces
+    byte-identical output, and [--replay] of an emitted repro string
+    reproduces the identical verdict. On failure, {!shrink} greedily
+    minimizes the trial, re-running deterministically at each step. *)
+
+(** {1 Trial families}
+
+    Every kind of trial — registry structures, the KV service, the
+    transaction manager — is one {!family}: how to print, parse, draw,
+    shrink and check a trial. {!shrink}, {!fuzz}, {!replay} and {!fleet}
+    are written once over it. *)
+
+type failure = { f_oracle : string; f_detail : string }
+
+type verdict = {
+  v_failures : failure list;  (** empty = every oracle passed *)
+  v_line : string;  (** the family's one-line run summary, for replay *)
+}
+
+type 'a family = {
+  name : string;  (** summary-line name: [chaos], [chaos-kv], [chaos-txn] *)
+  command : string;  (** the [optik_bench] subcommand that replays one *)
+  budget : int;  (** shrink re-run budget *)
+  to_string : 'a -> string;  (** one-line replayable form *)
+  of_string : string -> 'a;
+      (** inverse of [to_string]; raises [Invalid_argument] on parse
+          errors, unknown names and out-of-range values *)
+  gen : Harness.Rng.t -> 'a;  (** draw a random trial *)
+  candidates : 'a -> 'a list;  (** reductions, most aggressive first *)
+  check : 'a -> verdict;  (** run it and apply the oracles *)
+}
+
+(** A family with its trial type hidden, so families of different kinds
+    fit in one list (the fleet subcommand's [--kind] lookup). *)
+type any_family = Family : 'a family -> any_family
+
+val shrink : 'a family -> 'a -> 'a
+(** Greedily minimize a failing trial: keep the first candidate that
+    still fails some oracle and restart from it, until a fixpoint or
+    [budget] re-runs. Returns the trial unchanged if it does not fail. *)
+
+val fuzz :
+  ?offset:int ->
+  ?summary:bool ->
+  'a family ->
+  runs:int ->
+  seed:int ->
+  Format.formatter ->
+  int
+(** Run [runs] independent random trials (trial [i] is drawn from seed
+    [seed + i * 1_000_003]), shrinking and reporting each failure with a
+    one-line repro ([optik_bench COMMAND --replay '...']). Returns the
+    number of failing trials. Output is byte-deterministic for a given
+    (family, [runs], [seed]).
+
+    [offset] (default 0) starts at trial index [offset] instead of 0,
+    printing the same absolute indices, so batches concatenate to the
+    serial output. [summary] (default true) prints the trailing
+    ["NAME: F/T trials failed"] line. *)
+
+val replay : 'a family -> string -> Format.formatter -> int
+(** Parse a repro string, run it, report the verdict; returns the number
+    of oracle failures (0 = passes). *)
+
+val fleet :
+  'a family ->
+  jobs:int ->
+  trials:int ->
+  batch:int ->
+  seed:int ->
+  Format.formatter ->
+  int
+(** {!fuzz} farmed out over [Harness.Fleet]: one task per [batch]
+    consecutive trials, on [jobs] worker domains, each task starting from
+    {!fresh_world}. Prints exactly what [fuzz ~runs:trials] prints,
+    whatever the jobs/batch split. *)
+
+(** {1 Structure trials}
 
     Each {!trial} bundles everything one deterministic run needs: a
     structure, a machine topology, a small workload, scheduler
     perturbation knobs (quantum, read slack, noise amplitude) and a fault
-    plan. {!run_trial} executes it under the simulator and applies three
-    oracles:
+    plan, written [name@topo tN oN kN qN rN nN wN fPLAN] with [PLAN] in
+    {!Sim.Fault.to_string} syntax. {!run_trial} executes it under the
+    simulator and applies three oracles:
 
     - {e liveness by family}: lock-free representatives must end
       [Progress]; blocking ones may end [Starved] only behind a dead lock
@@ -16,15 +97,7 @@
       linearize against the sequential spec;
     - {e invariant sweeps}: size accounting against the history, the
       structure's own [validate], and QSBR's
-      [retired = freed + pending].
-
-    Determinism: a trial's outcome is a pure function of its
-    {!to_string} representation — fuzzing twice with the same seed
-    produces byte-identical output, and [--replay] of an emitted repro
-    string reproduces the identical verdict. On failure, {!shrink}
-    greedily minimizes the trial (drop fault specs, shrink durations,
-    reduce threads/ops/keys), re-running deterministically at each
-    step. *)
+      [retired = freed + pending]. *)
 
 (** Liveness family of a structure (§2 of the paper): what a fault plan
     is allowed to do to it. *)
@@ -62,20 +135,7 @@ type trial = {
   t_plan : Sim.Fault.plan;
 }
 
-val to_string : trial -> string
-(** One-line replayable form:
-    [name@topo tN oN kN qN rN nN wN fPLAN] with [PLAN] in
-    {!Sim.Fault.to_string} syntax. *)
-
-val of_string : ?entries:entry list -> string -> trial
-(** Inverse of {!to_string}; [entries] (default {!default_entries})
-    resolves the structure name. Raises [Invalid_argument] on parse
-    errors or unknown names. *)
-
-type failure = { f_oracle : string; f_detail : string }
-
 type outcome = {
-  o_trial : trial;
   o_completed : bool;  (** the run finished (vs watchdog abort) *)
   o_crashed : int list;  (** threads killed by the fault plan *)
   o_failures : failure list;  (** empty = every oracle passed *)
@@ -85,42 +145,12 @@ val run_trial : trial -> outcome
 (** Execute one trial. Deterministic; never raises for well-formed
     trials. *)
 
-val gen_trial : entry list -> Harness.Rng.t -> trial
-(** Draw a random trial over [entries] from the given rng state. *)
+val structure_family : entry list -> trial family
+(** Trials over [entries] ([of_string] resolves names against them):
+    shrinking drops fault specs, halves stall/storm durations and hit
+    counts, and reduces threads/ops/keys, within 300 re-runs. *)
 
-val shrink : ?budget:int -> trial -> trial
-(** Greedily minimize a failing trial: repeatedly try dropping a fault
-    spec, halving stall/storm durations and hit counts, and reducing
-    threads/ops/keys, keeping any reduction that still fails some
-    oracle. [budget] (default 300) bounds the number of re-runs. Returns
-    the trial unchanged if it does not fail. *)
-
-val fuzz :
-  ?entries:entry list ->
-  ?offset:int ->
-  ?summary:bool ->
-  runs:int ->
-  seed:int ->
-  Format.formatter ->
-  int
-(** Run [runs] independent random trials (trial [i] is drawn from seed
-    [seed + i * 1_000_003]), shrinking and reporting each failure with a
-    one-line repro ([optik_bench chaos --replay '...']). Returns the
-    number of failing trials. Output is byte-deterministic for a given
-    ([entries], [runs], [seed]).
-
-    [offset] (default 0) starts at trial index [offset] instead of 0:
-    [fuzz ~offset ~runs] runs trials [offset..offset+runs-1] of the same
-    seeded sequence, printing the same absolute indices — so a fleet of
-    batches concatenates to exactly the serial output. [summary] (default
-    true) prints the trailing ["chaos: F/T trials failed"] line; batch
-    runs pass [false] and let the driver print one merged summary. *)
-
-val replay : ?entries:entry list -> string -> Format.formatter -> int
-(** Parse a repro string, run it, report the verdict; returns the number
-    of oracle failures (0 = passes). *)
-
-(** {1 KV service fuzzing}
+(** {1 KV service trials}
 
     Randomized trials over the sharded KV service ({!Kv}): sequences of
     shard crashes per pair (the resync path re-arms the f = 1 budget,
@@ -146,28 +176,11 @@ type kv_trial = {
   kv_plan : Sim.Fault.plan;
 }
 
-val kv_to_string : kv_trial -> string
-(** [kv/REP@topo sN tN oN kN RN CN wN DN BN fPLAN]. *)
+val kv_family : kv_trial family
+(** [kv/REP@topo sN tN oN kN RN CN wN DN BN fPLAN]; shrinks within 60
+    re-runs. *)
 
-val kv_of_string : string -> kv_trial
-(** Inverse of {!kv_to_string}; raises [Invalid_argument] on parse
-    errors. *)
-
-val gen_kv_trial : Harness.Rng.t -> kv_trial
-val kv_config : kv_trial -> Kv.config
-
-val run_kv_trial :
-  kv_trial -> Harness.Runner.measurement * Kv.result * failure list
-
-val fuzz_kv :
-  ?offset:int -> ?summary:bool -> runs:int -> seed:int -> Format.formatter -> int
-(** Like {!fuzz} over KV trials (same seeding scheme, output shape and
-    batching parameters); returns the number of failing trials. *)
-
-val replay_kv : string -> Format.formatter -> int
-(** Replay one KV trial string; returns its oracle-failure count. *)
-
-(** {1 Transaction fuzzing}
+(** {1 Transaction trials}
 
     Randomized trials over the multi-key optimistic transaction manager
     ({!Txn.Workload}): contended bank transfers plus snapshot audits over
@@ -188,29 +201,12 @@ type txn_trial = {
   x_broken : bool;  (** negative control: skip commit-time validation *)
 }
 
-val txn_to_string : txn_trial -> string
+val txn_family : txn_trial family
 (** [txn/REP@topo bN aN tN oN XN wN [!]] — trailing [!] marks the
-    broken-commit negative control. *)
-
-val txn_of_string : string -> txn_trial
-(** Inverse of {!txn_to_string}; raises [Invalid_argument] on parse
-    errors. *)
-
-val gen_txn_trial : Harness.Rng.t -> txn_trial
-val txn_config : txn_trial -> Txn.Workload.config
+    broken-commit negative control; shrinks within 60 re-runs. *)
 
 val run_txn_trial :
   txn_trial -> Harness.Runner.measurement * Txn.Workload.result * failure list
-
-val fuzz_txn :
-  ?offset:int -> ?summary:bool -> runs:int -> seed:int -> Format.formatter -> int
-(** Like {!fuzz} over transaction trials (same seeding scheme, output
-    shape and batching parameters); returns the number of failing
-    trials. *)
-
-val replay_txn : string -> Format.formatter -> int
-(** Replay one transaction trial string; returns its oracle-failure
-    count. *)
 
 (** {1 World reset} *)
 

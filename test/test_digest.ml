@@ -8,6 +8,8 @@
 
    - a fixed-seed chaos fuzzing session (trial strings + verdicts),
    - a fixed-trial chaos replay,
+   - fixed-seed KV and transaction fuzzing sessions,
+   - the repro string the shrinker derives from a known-failing trial,
    - a soak-style randomized sweep summary (workload tuple + full stats),
    - a Chrome trace_event export and its JSONL twin.
 
@@ -38,7 +40,8 @@ let with_ppf f =
 let chaos_output () =
   let failed, out =
     with_ppf (fun ppf ->
-        Chaos.fuzz ~entries:Chaos.quick_entries ~runs:8 ~seed:3 ppf)
+        Chaos.fuzz (Chaos.structure_family Chaos.quick_entries) ~runs:8 ~seed:3
+          ppf)
   in
   Printf.sprintf "failed=%d\n%s" failed out
 
@@ -46,10 +49,44 @@ let chaos_output () =
    itself is also covered by the digest). *)
 let replay_output () =
   let rng = Harness.Rng.create 99 in
-  let tr = Chaos.gen_trial Chaos.quick_entries rng in
-  let s = Chaos.to_string tr in
-  let failures, out = with_ppf (fun ppf -> Chaos.replay s ppf) in
+  let fam = Chaos.structure_family Chaos.quick_entries in
+  let s = fam.Chaos.to_string (fam.Chaos.gen rng) in
+  let failures, out = with_ppf (fun ppf -> Chaos.replay fam s ppf) in
   Printf.sprintf "trial=%s\nfailures=%d\n%s" s failures out
+
+(* Fixed-seed fuzzing sessions over the KV service and the transaction
+   manager: trial strings, verdicts and the merged summary line. *)
+let kv_output () =
+  let failed, out =
+    with_ppf (fun ppf -> Chaos.fuzz Chaos.kv_family ~runs:4 ~seed:1 ppf)
+  in
+  Printf.sprintf "failed=%d\n%s" failed out
+
+let txn_output () =
+  let failed, out =
+    with_ppf (fun ppf -> Chaos.fuzz Chaos.txn_family ~runs:4 ~seed:1 ppf)
+  in
+  Printf.sprintf "failed=%d\n%s" failed out
+
+(* The shrinker's answer on test_chaos's known-failing trial: a blocking
+   list mislabeled lock-free, crashed inside its critical section, padded
+   with two irrelevant stalls. *)
+let shrink_output () =
+  let fake_lf =
+    {
+      Chaos.e_name = "list/gl-as-lf";
+      e_kind = Chaos.Lock_free;
+      e_target = Chaos.Set R.Sim_backend.ll_optik_gl;
+    }
+  in
+  let fam = Chaos.structure_family [ fake_lf ] in
+  let tr =
+    fam.Chaos.of_string
+      "list/gl-as-lf@u4 t4 o6 k4 q20000 r0 n62 w5 \
+       f1;crash@critical-enter,h1;stall(20000)@op-boundary,h2;\
+       stall(30000)@restart,h3"
+  in
+  fam.Chaos.to_string (Chaos.shrink fam tr)
 
 (* A soak-style sweep: same sampling shape as test/soak.ml, pinned seed,
    full stats per run so any scheduling change shows up. *)
@@ -168,6 +205,11 @@ let golden_jsonl = "954b88fc23c121c30a979276b9581b49"
    samples and nothing about the runs themselves moved. *)
 let golden_report = "30e00611a1141c36d2319c89457d9c30"
 let golden_diff = "43583b66f19053aef91773fd8efd0d5c"
+(* Recorded while set, kv and txn trials still had separate drivers, so
+   these pin the shared driver's output for kv, txn and the shrinker. *)
+let golden_kv = "33e80266bbb5d8a561255f3fb77cc798"
+let golden_txn = "73b5a76a20ff6b0648988d17ecbf94a5"
+let golden_shrink = "7f2e2919f6324a8ecf73052801f2a3b5"
 
 (* ------------------------------------------------------------------ *)
 
@@ -187,6 +229,9 @@ let test_report () =
   check_digest "run report" golden_report (report_output "optik")
 
 let test_diff () = check_digest "report diff" golden_diff (diff_output ())
+let test_kv () = check_digest "kv fuzz" golden_kv (kv_output ())
+let test_txn () = check_digest "txn fuzz" golden_txn (txn_output ())
+let test_shrink () = check_digest "chaos shrink" golden_shrink (shrink_output ())
 
 (* Two back-to-back productions digest identically: determinism within a
    process, independent of the recorded constants (catches state leaking
@@ -207,6 +252,9 @@ let () =
     Printf.printf "let golden_jsonl = %S\n" (digest jsonl);
     Printf.printf "let golden_report = %S\n" (digest (report_output "optik"));
     Printf.printf "let golden_diff = %S\n" (digest (diff_output ()));
+    Printf.printf "let golden_kv = %S\n" (digest (kv_output ()));
+    Printf.printf "let golden_txn = %S\n" (digest (txn_output ()));
+    Printf.printf "let golden_shrink = %S\n" (digest (shrink_output ()));
     exit 0
   end;
   Alcotest.run "digest"
@@ -219,6 +267,9 @@ let () =
           Alcotest.test_case "trace exports" `Quick test_traces;
           Alcotest.test_case "run report" `Quick test_report;
           Alcotest.test_case "report diff" `Quick test_diff;
+          Alcotest.test_case "kv fuzz" `Quick test_kv;
+          Alcotest.test_case "txn fuzz" `Quick test_txn;
+          Alcotest.test_case "chaos shrink" `Quick test_shrink;
           Alcotest.test_case "self-stable" `Quick test_self_stable;
         ] );
     ]

@@ -65,37 +65,17 @@ let test_jobs_validation () =
    must all produce the same bytes. *)
 let test_fleet_determinism () =
   let trials = 6 and seed = 11 in
-  let fleet ~jobs ~batch =
-    let tasks =
-      List.init
-        ((trials + batch - 1) / batch)
-        (fun b ->
-          let offset = b * batch in
-          let runs = min batch (trials - offset) in
-          Fleet.task
-            ~label:(Printf.sprintf "chaos[%d..%d]" offset (offset + runs - 1))
-            (fun () ->
-              let buf = Buffer.create 1024 in
-              let ppf = Format.formatter_of_buffer buf in
-              ignore
-                (Chaos.fuzz ~entries:Chaos.quick_entries ~offset
-                   ~summary:false ~runs ~seed ppf);
-              Format.pp_print_flush ppf ();
-              Buffer.contents buf))
-    in
-    String.concat ""
-      (Fleet.map ~jobs ~reset:Chaos.fresh_world tasks)
-  in
-  let serial =
+  let fam = Chaos.structure_family Chaos.quick_entries in
+  let render f =
     let buf = Buffer.create 1024 in
     let ppf = Format.formatter_of_buffer buf in
-    Chaos.fresh_world ();
-    ignore
-      (Chaos.fuzz ~entries:Chaos.quick_entries ~summary:false ~runs:trials
-         ~seed ppf);
+    ignore (f ppf : int);
     Format.pp_print_flush ppf ();
     Buffer.contents buf
   in
+  let fleet ~jobs ~batch = render (Chaos.fleet fam ~jobs ~trials ~batch ~seed) in
+  Chaos.fresh_world ();
+  let serial = render (Chaos.fuzz fam ~runs:trials ~seed) in
   let one = fleet ~jobs:1 ~batch:2 in
   let four = fleet ~jobs:4 ~batch:1 in
   Alcotest.(check string) "jobs:1 == serial" serial one;

@@ -333,16 +333,27 @@ let test_broken_fencing_fails () =
 (* Chaos trial grammar round-trip. *)
 
 let test_kv_trial_roundtrip () =
+  let fam = Chaos.kv_family in
   let rng = Harness.Rng.create 99 in
   for _ = 1 to 100 do
-    let tr = Chaos.gen_kv_trial rng in
-    let s = Chaos.kv_to_string tr in
-    if Chaos.kv_of_string s <> tr then
+    let tr = fam.Chaos.gen rng in
+    let s = fam.Chaos.to_string tr in
+    if fam.Chaos.of_string s <> tr then
       Alcotest.failf "kv trial round-trip failed: %s" s
   done;
-  match Chaos.kv_of_string "nonsense" with
-  | (_ : Chaos.kv_trial) -> Alcotest.fail "expected parse error"
-  | exception Invalid_argument _ -> ()
+  List.iter
+    (fun s ->
+      match fam.Chaos.of_string s with
+      | (_ : Chaos.kv_trial) -> Alcotest.failf "expected parse error for %S" s
+      | exception Invalid_argument _ -> ())
+    [
+      "nonsense";
+      (* values the CLI's own flags reject must not reach a run *)
+      "kv/ht-optik@xeon s2 t3 o300 k0 R50 C10 w3 D5000 B16 f1";
+      "kv/ht-optik@xeon s2 t3 o300 k64 R95 C50 w3 D5000 B16 f1";
+      "kv/ht-optik@xeon s2 t3 o300 k64 R-5 C10 w3 D5000 B16 f1";
+      "kv/ht-optik@xeon s2 t3 o300 k64 R50 C-5 w3 D5000 B16 f1";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Report integration: the kv run renders into a valid schema'd report

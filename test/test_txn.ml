@@ -267,33 +267,59 @@ let test_conservation () =
 (* ------------------------------------------------------------------ *)
 (* Chaos trial grammar round-trip. *)
 
+let fam = Chaos.txn_family
+
 let test_txn_trial_roundtrip () =
   let rng = Harness.Rng.create 99 in
   for _ = 1 to 100 do
-    let tr = Chaos.gen_txn_trial rng in
-    let s = Chaos.txn_to_string tr in
-    if Chaos.txn_of_string s <> tr then
+    let tr = fam.Chaos.gen rng in
+    let s = fam.Chaos.to_string tr in
+    if fam.Chaos.of_string s <> tr then
       Alcotest.failf "txn trial round-trip failed: %s" s
   done;
-  let broken = { (Chaos.gen_txn_trial rng) with Chaos.x_broken = true } in
+  let broken = { (fam.Chaos.gen rng) with Chaos.x_broken = true } in
   Alcotest.(check bool) "broken flag round-trips" true
-    (Chaos.txn_of_string (Chaos.txn_to_string broken) = broken);
-  match Chaos.txn_of_string "nonsense" with
-  | (_ : Chaos.txn_trial) -> Alcotest.fail "expected parse error"
-  | exception Invalid_argument _ -> ()
+    (fam.Chaos.of_string (fam.Chaos.to_string broken) = broken);
+  List.iter
+    (fun s ->
+      match fam.Chaos.of_string s with
+      | (_ : Chaos.txn_trial) -> Alcotest.failf "expected parse error for %S" s
+      | exception Invalid_argument _ -> ())
+    [
+      "nonsense";
+      (* values the CLI's own flags reject must not reach a run *)
+      "txn/ll-optik@u2 b2 a8 t2 o400 X150 w5";
+      "txn/ll-optik@u2 b2 a8 t2 o400 X-1 w5";
+    ]
 
 let test_txn_trial_runs () =
-  let tr = Chaos.txn_of_string "txn/ll-optik@u2 b2 a8 t2 o400 X70 w5" in
+  let tr = fam.Chaos.of_string "txn/ll-optik@u2 b2 a8 t2 o400 X70 w5" in
   let _, r, failures = Chaos.run_txn_trial tr in
   Alcotest.(check (list string)) "no oracle failures" []
     (List.map (fun f -> f.Chaos.f_oracle) failures);
   Alcotest.(check bool) "transfers committed" true (r.W.res_commits > 0)
 
+(* The broken-commit control fails serializability, and the family's
+   shrinker reduces it to a trial that still does and is no larger in
+   any dimension. *)
 let test_txn_trial_catches_broken () =
-  let tr = Chaos.txn_of_string "txn/ll-optik@xeon b2 a8 t8 o2000 X70 w0 !" in
-  let _, _, failures = Chaos.run_txn_trial tr in
-  Alcotest.(check bool) "serializability failure reported" true
-    (List.exists (fun f -> f.Chaos.f_oracle = "serializability") failures)
+  let serial_fails tr =
+    List.exists
+      (fun f -> f.Chaos.f_oracle = "serializability")
+      (fam.Chaos.check tr).Chaos.v_failures
+  in
+  let tr = fam.Chaos.of_string "txn/ll-optik@xeon b2 a8 t8 o2000 X70 w0 !" in
+  Alcotest.(check bool) "serializability failure reported" true (serial_fails tr);
+  let small = Chaos.shrink fam tr in
+  Alcotest.(check bool) "shrunk trial still fails serializability" true
+    (serial_fails small);
+  Alcotest.(check bool)
+    (Printf.sprintf "no larger: %s" (fam.Chaos.to_string small))
+    true
+    (small.Chaos.x_objects <= tr.Chaos.x_objects
+    && small.Chaos.x_accounts <= tr.Chaos.x_accounts
+    && small.Chaos.x_threads <= tr.Chaos.x_threads
+    && small.Chaos.x_ops <= tr.Chaos.x_ops)
 
 (* ------------------------------------------------------------------ *)
 (* Report integration: the txn section renders into a valid schema'd
