@@ -11,6 +11,12 @@
     identical seeds give identical ops/accesses/events — only the host
     seconds vary between machines and runs.
 
+    Every row also records the words the run allocated per op, and the
+    OCaml version that produced them. Unlike host seconds, allocation is
+    a function of the code and the compiler alone: it repeats to the
+    word from run to run, so it can be gated tightly where host time
+    cannot.
+
     Results serialize to [BENCH_sim.json], one result object per line, so
     the committed baseline can be parsed (and the CI tolerance gate
     applied) with plain string scanning — no JSON dependency. *)
@@ -25,9 +31,12 @@ type result = {
   r_accesses : int;  (** simulated memory accesses: reads+writes+cas+faa *)
   r_events : int;  (** scheduler (slow-path) events *)
   r_host_s : float;  (** best-of-repeats host seconds for the run *)
+  r_words : float;  (** fewest words allocated by one repeat *)
+  r_ocaml : string;  (** the compiler version that produced [r_words] *)
 }
 
 let ops_per_hs r = float_of_int r.r_ops /. r.r_host_s
+let words_per_op r = r.r_words /. float_of_int (max 1 r.r_ops)
 let accesses_per_hs r = float_of_int r.r_accesses /. r.r_host_s
 let events_per_hs r = float_of_int r.r_events /. r.r_host_s
 
@@ -216,12 +225,25 @@ let specs =
     };
   ]
 
+(* Words allocated by this domain so far: every minor-heap allocation,
+   read exactly by [Gc.minor_words] ([Gc.quick_stat] and [Gc.counters]
+   only advance their minor counts at minor collections on OCaml 5.1),
+   plus the words allocated directly on the major heap. Worker domains'
+   minor allocations are not counted, so the fleet row covers only its
+   coordinating domain's. *)
+let words () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+
 let measure ?(repeats = 3) (s : spec) =
   let repeats = max 1 repeats in
   let best = ref infinity in
+  let fewest = ref infinity in
   let last = ref None in
   for _ = 1 to repeats do
+    let w0 = words () in
     let m = s.s_run () in
+    fewest := Float.min !fewest (words () -. w0);
     if m.Runner.host_s < !best then best := m.Runner.host_s;
     last := Some m
   done;
@@ -234,6 +256,8 @@ let measure ?(repeats = 3) (s : spec) =
       m.Runner.reads + m.Runner.writes + m.Runner.cas + m.Runner.faa;
     r_events = m.Runner.events;
     r_host_s = Float.max 1e-9 !best;
+    r_words = !fewest;
+    r_ocaml = Sys.ocaml_version;
   }
 
 let run ?(repeats = 3) () = List.map (measure ~repeats) specs
@@ -245,9 +269,11 @@ let result_line r =
   Printf.sprintf
     "  {\"name\": %S, \"threads\": %d, \"ops\": %d, \"accesses\": %d, \
      \"events\": %d, \"host_s\": %.6f, \"ops_per_hs\": %.1f, \
-     \"accesses_per_hs\": %.1f, \"events_per_hs\": %.1f}"
+     \"accesses_per_hs\": %.1f, \"events_per_hs\": %.1f, \
+     \"words_per_op\": %.2f, \"ocaml\": %S}"
     r.r_name r.r_threads r.r_ops r.r_accesses r.r_events r.r_host_s
-    (ops_per_hs r) (accesses_per_hs r) (events_per_hs r)
+    (ops_per_hs r) (accesses_per_hs r) (events_per_hs r) (words_per_op r)
+    r.r_ocaml
 
 let to_json results =
   String.concat "\n"
@@ -296,8 +322,16 @@ let float_field line key =
   | Some v -> float_of_string_opt v
   | None -> None
 
-(** Parse a committed [BENCH_sim.json] into
-    [(name, ops_per_hs, accesses_per_hs)] rows. *)
+(** One row of a committed [BENCH_sim.json]. Rows written before the
+    allocation columns existed have no [b_words]/[b_ocaml]. *)
+type baseline_row = {
+  b_name : string;
+  b_ops : float;  (** ops_per_hs *)
+  b_acc : float;  (** accesses_per_hs *)
+  b_words : float option;  (** words_per_op *)
+  b_ocaml : string option;
+}
+
 let parse_baseline content =
   String.split_on_char '\n' content
   |> List.filter_map (fun line ->
@@ -306,46 +340,92 @@ let parse_baseline content =
              float_field line "ops_per_hs",
              float_field line "accesses_per_hs" )
          with
-         | Some name, Some ops, Some acc -> Some (name, ops, acc)
+         | Some b_name, Some b_ops, Some b_acc ->
+             Some
+               {
+                 b_name;
+                 b_ops;
+                 b_acc;
+                 b_words = float_field line "words_per_op";
+                 b_ocaml = string_field line "ocaml";
+               }
          | _ -> None)
 
 type regression = {
   g_name : string;
   g_metric : string;
   g_measured : float;
-  g_floor : float;  (** baseline * (1 - tolerance) *)
+  g_baseline : float;
+  g_tolerance_pct : float;
 }
 
-(** Compare measured results against a baseline file's contents: any spec
-    whose simulated-ops/host-sec or accesses/host-sec falls more than
-    [tolerance_pct] percent below the committed number is a regression.
-    Baseline specs missing from the measured set are ignored (removed
-    workloads), measured specs missing from the baseline pass (new
-    workloads get their numbers committed on the next baseline refresh). *)
+(** Allocation repeats to the word, so its gate is tight. *)
+let words_tolerance_pct = 2.
+
+(** Compare measured results against a baseline file's contents. A
+    regression is a spec whose simulated-ops/host-sec or
+    accesses/host-sec falls more than [tolerance_pct] percent below the
+    committed number, or whose words/op grows more than
+    {!words_tolerance_pct} percent above it. The words gate needs the
+    baseline row to come from the running OCaml version (another
+    compiler allocates differently); the names of rows where it does not
+    are returned second, as skipped. Baseline specs missing from the
+    measured set are ignored (removed workloads), measured specs missing
+    from the baseline pass (new workloads get their numbers committed on
+    the next baseline refresh). *)
 let check_baseline ~baseline ~tolerance_pct results =
   let base = parse_baseline baseline in
-  let frac = 1. -. (tolerance_pct /. 100.) in
-  List.concat_map
-    (fun r ->
-      match List.find_opt (fun (n, _, _) -> n = r.r_name) base with
-      | None -> []
-      | Some (_, b_ops, b_acc) ->
-          let check metric measured b =
-            let floor = b *. frac in
-            if measured < floor then
-              [ { g_name = r.r_name; g_metric = metric; g_measured = measured; g_floor = floor } ]
-            else []
-          in
-          check "ops_per_hs" (ops_per_hs r) b_ops
-          @ check "accesses_per_hs" (accesses_per_hs r) b_acc)
-    results
+  let skipped = ref [] in
+  let regressions =
+    List.concat_map
+      (fun r ->
+        match List.find_opt (fun b -> b.b_name = r.r_name) base with
+        | None -> []
+        | Some b ->
+            let gate metric measured baseline tol crossed =
+              if crossed then
+                [
+                  {
+                    g_name = r.r_name;
+                    g_metric = metric;
+                    g_measured = measured;
+                    g_baseline = baseline;
+                    g_tolerance_pct = tol;
+                  };
+                ]
+              else []
+            in
+            let rate metric measured baseline =
+              gate metric measured baseline tolerance_pct
+                (measured < baseline *. (1. -. (tolerance_pct /. 100.)))
+            in
+            let words =
+              match b.b_words with
+              | Some w when b.b_ocaml = Some r.r_ocaml ->
+                  let m = words_per_op r in
+                  gate "words_per_op" m w words_tolerance_pct
+                    (m > w *. (1. +. (words_tolerance_pct /. 100.)))
+              | _ ->
+                  skipped := r.r_name :: !skipped;
+                  []
+            in
+            rate "ops_per_hs" (ops_per_hs r) b.b_ops
+            @ rate "accesses_per_hs" (accesses_per_hs r) b.b_acc
+            @ words)
+      results
+  in
+  (regressions, List.rev !skipped)
+
+let pp_regression ppf g =
+  Format.fprintf ppf "%s %s = %.2f against baseline %.2f (tolerance %.0f%%)"
+    g.g_name g.g_metric g.g_measured g.g_baseline g.g_tolerance_pct
 
 let pp_table ppf results =
-  Format.fprintf ppf "%-22s %3s %12s %12s %10s %9s@\n" "spec" "thr"
-    "sim-ops/hs" "accesses/hs" "events/hs" "host-s";
+  Format.fprintf ppf "%-22s %3s %12s %12s %10s %9s %10s@\n" "spec" "thr"
+    "sim-ops/hs" "accesses/hs" "events/hs" "host-s" "words/op";
   List.iter
     (fun r ->
-      Format.fprintf ppf "%-22s %3d %12.0f %12.0f %10.0f %9.4f@\n" r.r_name
-        r.r_threads (ops_per_hs r) (accesses_per_hs r) (events_per_hs r)
-        r.r_host_s)
+      Format.fprintf ppf "%-22s %3d %12.0f %12.0f %10.0f %9.4f %10.1f@\n"
+        r.r_name r.r_threads (ops_per_hs r) (accesses_per_hs r)
+        (events_per_hs r) r.r_host_s (words_per_op r))
     results

@@ -1428,7 +1428,9 @@ let hostperf_cmd =
           ~doc:
             "Compare against a committed BENCH_sim.json and exit non-zero if \
              any workload's simulated-ops/host-sec or accesses/host-sec \
-             falls more than the tolerance below it.")
+             falls more than the tolerance below it, or its words/op grows \
+             more than 2% above it (checked only against a baseline from \
+             the same OCaml version).")
   in
   let tolerance =
     Arg.(
@@ -1498,21 +1500,23 @@ let hostperf_cmd =
           Printf.eprintf "baseline %s contains no results\n" path;
           exit 2
         end;
-        let regressions =
+        let regressions, skipped =
           Host_bench.check_baseline ~baseline:content ~tolerance_pct:tolerance
             results
         in
+        if skipped <> [] then
+          Printf.printf
+            "hostperf: words gate skipped for %s (baseline from another OCaml \
+             than %s)\n"
+            (String.concat ", " skipped) Sys.ocaml_version;
         if regressions = [] then
-          Printf.printf "hostperf: within %.0f%% of baseline %s\n" tolerance
-            path
+          Printf.printf
+            "hostperf: within %.0f%% (rates) and %.0f%% (words/op) of baseline \
+             %s\n"
+            tolerance Host_bench.words_tolerance_pct path
         else begin
           List.iter
-            (fun g ->
-              Printf.eprintf
-                "hostperf REGRESSION: %s %s = %.0f, below floor %.0f (baseline \
-                 - %.0f%%)\n"
-                g.Host_bench.g_name g.Host_bench.g_metric g.Host_bench.g_measured
-                g.Host_bench.g_floor tolerance)
+            (Format.eprintf "hostperf REGRESSION: %a@." Host_bench.pp_regression)
             regressions;
           exit 1
         end
@@ -1520,9 +1524,9 @@ let hostperf_cmd =
   Cmd.v
     (Cmd.info "hostperf"
        ~doc:
-         "Measure engine throughput in simulated-ops per host-second over \
-          fixed representative workloads, optionally gating against a \
-          committed baseline.")
+         "Measure engine throughput in simulated-ops per host-second, and \
+          words allocated per op, over fixed representative workloads, \
+          optionally gating against a committed baseline.")
     Term.(const run $ out_file $ baseline $ tolerance $ repeats $ report_arg)
 
 (* ---------------- diff ---------------- *)

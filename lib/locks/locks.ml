@@ -232,7 +232,10 @@ end
     Handles speak {e version tokens} (plain [int]s, opaque to this
     module): the token a structure's [read_versioned] returned is what
     [acquire]/[check] validate against. All closures capture the
-    underlying lock, so a handle stays valid as long as its structure. *)
+    underlying lock, so a handle stays valid as long as its structure.
+    Build one handle per lock, once, and hand out that same value on
+    every lookup: a handle is five closures, too many words to build
+    per transactional read. *)
 module Handle = struct
   type t = {
     id : int;  (** process-unique; the sort key replacing lock addresses *)

@@ -121,7 +121,21 @@ type thread = {
       (** [Some th] for this very thread, tied once at creation so
           installing it as the current thread on every dispatched event
           reuses one option block instead of allocating a fresh one *)
+  (* The slow path's pending operation, written by the thread just before
+     it performs [Wait] and priced by [resume] when its event fires. *)
+  mutable p_kind : pending;
+  mutable p_line : line;
+  mutable p_arg : int;  (** [P_work]: the cost; [P_yield]: the resume time *)
+  mutable parked : (unit, unit) Effect.Deep.continuation option;
+      (** the fiber suspended in [Wait]; [None] whenever it is not *)
+  mutable on_wait : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  mutable resume : unit -> unit;
+      (** [on_wait] parks the fiber and pushes [resume] as its event; both
+          are tied once per arena slot, so suspending allocates only the
+          continuation and the option that parks it *)
 }
+
+and pending = P_read | P_write | P_rmw | P_work | P_yield
 
 type t = {
   topo : Topology.t;
@@ -222,8 +236,11 @@ let dkey : dstate Domain.DLS.key =
 
 let[@inline] dstate () = Domain.DLS.get dkey
 
-type _ Effect.t +=
-  | Suspend : (thread -> ('a, unit) Effect.Deep.continuation -> unit) -> 'a Effect.t
+(* The one suspension effect. A constant constructor: performing it
+   allocates nothing beyond the continuation, because everything the
+   scheduler needs (the pending operation, the event to push) lives in
+   the thread record. *)
+type _ Effect.t += Wait : unit Effect.t
 
 (* Run [f] with [th] installed as the current virtual thread. Every event
    action is wrapped in this: thread code (resumed continuations) must see
@@ -507,25 +524,56 @@ let[@inline] can_inline_work s th cost =
   let bound = Eheap.min_time s.q in
   bound = max_int || fin <= bound + s.read_slack
 
-(* Slow path: suspend the thread; the scheduler pops the event, re-prices
-   the operation (line state may have changed) and resumes. The closures
-   this allocates only exist on the suspension path, which allocates a
-   heap event and an effect continuation anyway. *)
-let suspend_op (type a) d s (price : t -> thread -> line option * int * bool)
-    (sem : unit -> a) : a =
-  Effect.perform
-    (Suspend
-       (fun th k ->
-         Eheap.push s.q th.clock
-           (dispatching d th (fun () ->
-                let ready = window_ready th s th.clock in
-                th.clock <- ready;
-                th.window_end <- window_end_of th s ready;
-                let line, cost, serialize = price s th in
-                (match line with
-                | Some l -> exec_line s th l cost ~serialize
-                | None -> exec_work s th cost);
-                Effect.Deep.continue k (sem ())))))
+(* Slow path: record the pending operation in the thread record and
+   suspend. The scheduler pops the thread's [resume] event, re-prices the
+   operation (line state may have changed), charges it and continues the
+   fiber; the caller then applies the operation's semantics itself, just
+   as after an inline [exec_line]. *)
+let wait th kind line arg =
+  th.p_kind <- kind;
+  th.p_line <- line;
+  th.p_arg <- arg;
+  Effect.perform Wait
+
+(* Charge a line operation inline when it cannot interleave, else wait
+   for its event. Either way it is charged before this returns. *)
+let[@inline] access s th kind line cost ~serialize =
+  if can_inline_line s th line cost ~serialize then
+    exec_line s th line cost ~serialize
+  else wait th kind line 0
+
+(* A waiting thread's event: wait for its scheduling window, charge the
+   pending operation at the line state of this moment, then continue the
+   fiber. [P_yield] instead jumps the clock to the recorded resume time. *)
+let resume d th () =
+  let s = match d.d_sched with Some s -> s | None -> assert false in
+  (match th.p_kind with
+  | P_yield ->
+      th.clock <- max th.clock th.p_arg;
+      if th.clock > s.end_time then s.end_time <- th.clock;
+      th.window_end <- window_end_of th s th.clock
+  | kind -> (
+      let ready = window_ready th s th.clock in
+      th.clock <- ready;
+      th.window_end <- window_end_of th s ready;
+      let l = th.p_line in
+      match kind with
+      | P_read -> exec_line s th l (read_cost s th l) ~serialize:false
+      | P_write -> exec_line s th l (own_cost s th l ~rmw:false) ~serialize:true
+      | P_rmw -> exec_line s th l (own_cost s th l ~rmw:true) ~serialize:true
+      | P_work | P_yield -> exec_work s th th.p_arg));
+  match th.parked with
+  | Some k ->
+      th.parked <- None;
+      Effect.Deep.continue k ()
+  | None -> assert false
+
+(* [Wait]'s handler: park the fiber and schedule its [resume] event, at
+   the yield's resume time or else at the thread's current clock. *)
+let park d th k =
+  th.parked <- Some k;
+  let s = match d.d_sched with Some s -> s | None -> assert false in
+  Eheap.push s.q (if th.p_kind = P_yield then th.p_arg else th.clock) th.resume
 
 (* ------------------------------------------------------------------ *)
 (* Public memory operations                                            *)
@@ -539,18 +587,9 @@ let read (l : 'a loc) : 'a =
       let line = l.line in
       refresh s line;
       s.n_reads <- s.n_reads + 1;
-      let cost = read_cost s th line in
-      if can_inline_line s th line cost ~serialize:false then begin
-        exec_line s th line cost ~serialize:false;
-        apply_read th line;
-        l.v
-      end
-      else
-        suspend_op d s
-          (fun s th -> (Some line, read_cost s th line, false))
-          (fun () ->
-            apply_read th line;
-            l.v)
+      access s th P_read line (read_cost s th line) ~serialize:false;
+      apply_read th line;
+      l.v
 
 let write (l : 'a loc) (v : 'a) : unit =
   let d = dstate () in
@@ -561,18 +600,9 @@ let write (l : 'a loc) (v : 'a) : unit =
       let line = l.line in
       refresh s line;
       s.n_writes <- s.n_writes + 1;
-      let cost = own_cost s th line ~rmw:false in
-      if can_inline_line s th line cost ~serialize:true then begin
-        exec_line s th line cost ~serialize:true;
-        apply_own th line;
-        l.v <- v
-      end
-      else
-        suspend_op d s
-          (fun s th -> (Some line, own_cost s th line ~rmw:false, true))
-          (fun () ->
-            apply_own th line;
-            l.v <- v)
+      access s th P_write line (own_cost s th line ~rmw:false) ~serialize:true;
+      apply_own th line;
+      l.v <- v
 
 let cas (l : 'a loc) (expected : 'a) (desired : 'a) : bool =
   let d = dstate () in
@@ -588,32 +618,16 @@ let cas (l : 'a loc) (expected : 'a) (desired : 'a) : bool =
       let line = l.line in
       refresh s line;
       s.n_cas <- s.n_cas + 1;
-      let cost = own_cost s th line ~rmw:true in
+      access s th P_rmw line (own_cost s th line ~rmw:true) ~serialize:true;
+      apply_own th line;
       let ok =
-        if can_inline_line s th line cost ~serialize:true then begin
-          exec_line s th line cost ~serialize:true;
-          apply_own th line;
-          if l.v == expected then (
-            l.v <- desired;
-            true)
-          else (
-            s.n_cas_failed <- s.n_cas_failed + 1;
-            if Obs.Journal.recording () then Obs.Journal.on_cas_fail line.id;
-            false)
-        end
-        else
-          suspend_op d s
-            (fun s th -> (Some line, own_cost s th line ~rmw:true, true))
-            (fun () ->
-              apply_own th line;
-              if l.v == expected then (
-                l.v <- desired;
-                true)
-              else (
-                s.n_cas_failed <- s.n_cas_failed + 1;
-                if Obs.Journal.recording () then
-                  Obs.Journal.on_cas_fail line.id;
-                false))
+        if l.v == expected then (
+          l.v <- desired;
+          true)
+        else (
+          s.n_cas_failed <- s.n_cas_failed + 1;
+          if Obs.Journal.recording () then Obs.Journal.on_cas_fail line.id;
+          false)
       in
       fault_point Fp.After_cas;
       ok
@@ -630,22 +644,11 @@ let faa (l : int loc) (n : int) : int =
       let line = l.line in
       refresh s line;
       s.n_faa <- s.n_faa + 1;
-      let cost = own_cost s th line ~rmw:true in
-      if can_inline_line s th line cost ~serialize:true then begin
-        exec_line s th line cost ~serialize:true;
-        apply_own th line;
-        let old = l.v in
-        l.v <- old + n;
-        old
-      end
-      else
-        suspend_op d s
-          (fun s th -> (Some line, own_cost s th line ~rmw:true, true))
-          (fun () ->
-            apply_own th line;
-            let old = l.v in
-            l.v <- old + n;
-            old)
+      access s th P_rmw line (own_cost s th line ~rmw:true) ~serialize:true;
+      apply_own th line;
+      let old = l.v in
+      l.v <- old + n;
+      old
 
 let exchange (l : 'a loc) (v : 'a) : 'a =
   let d = dstate () in
@@ -659,22 +662,11 @@ let exchange (l : 'a loc) (v : 'a) : 'a =
       let line = l.line in
       refresh s line;
       s.n_cas <- s.n_cas + 1;
-      let cost = own_cost s th line ~rmw:true in
-      if can_inline_line s th line cost ~serialize:true then begin
-        exec_line s th line cost ~serialize:true;
-        apply_own th line;
-        let old = l.v in
-        l.v <- v;
-        old
-      end
-      else
-        suspend_op d s
-          (fun s th -> (Some line, own_cost s th line ~rmw:true, true))
-          (fun () ->
-            apply_own th line;
-            let old = l.v in
-            l.v <- v;
-            old)
+      access s th P_rmw line (own_cost s th line ~rmw:true) ~serialize:true;
+      apply_own th line;
+      let old = l.v in
+      l.v <- v;
+      old
 
 let work (n : int) : unit =
   if n > 0 then
@@ -684,7 +676,7 @@ let work (n : int) : unit =
     | Some th ->
         let s = match d.d_sched with Some s -> s | None -> assert false in
         if can_inline_work s th n then exec_work s th n
-        else suspend_op d s (fun _ _ -> (None, n, false)) (fun () -> ())
+        else wait th P_work dummy_line n
 
 let pause_cost = 8
 
@@ -701,21 +693,12 @@ let yield () =
       if th.residents <= 1 then pause ()
       else
         let s = match d.d_sched with Some s -> s | None -> assert false in
-        Effect.perform
-          (Suspend
-             (fun th k ->
-               let q = s.quantum in
-               let m = th.residents in
-               let slot = th.clock / q in
-               let off = (th.rank - (slot mod m) + m) mod m in
-               let off = if off = 0 then m else off in
-               let t' = (slot + off) * q in
-               Eheap.push s.q t'
-                 (dispatching d th (fun () ->
-                      th.clock <- max th.clock t';
-                      if th.clock > s.end_time then s.end_time <- th.clock;
-                      th.window_end <- window_end_of th s th.clock;
-                      Effect.Deep.continue k ()))))
+        let q = s.quantum in
+        let m = th.residents in
+        let slot = th.clock / q in
+        let off = (th.rank - (slot mod m) + m) mod m in
+        let off = if off = 0 then m else off in
+        wait th P_yield dummy_line ((slot + off) * q)
 
 (* ------------------------------------------------------------------ *)
 (* Run-control helpers exposed to harness code                         *)
@@ -1022,8 +1005,9 @@ let default_read_slack = 1_000
 let default_max_inline_ops = 40_000_000_000
 
 (* Grow the thread arena to hold [n] records. Records are created once
-   and reset in [run]; slot [i]'s [t_id] is [i] forever, and [self] is
-   tied here so dispatching never allocates an option. *)
+   and reset in [run]; slot [i]'s [t_id] is [i] forever, and [self],
+   [on_wait] and [resume] are tied here so neither dispatching nor
+   suspending allocates a closure. *)
 let ensure_arena d n =
   let len = Array.length d.d_arena in
   if n > len then begin
@@ -1048,9 +1032,17 @@ let ensure_arena d n =
                 waiting = false;
                 crashed = false;
                 self = None;
+                p_kind = P_work;
+                p_line = dummy_line;
+                p_arg = 0;
+                parked = None;
+                on_wait = None;
+                resume = ignore;
               }
             in
             th.self <- Some th;
+            th.on_wait <- Some (park d th);
+            th.resume <- dispatching d th (resume d th);
             th
           end)
     in
@@ -1179,11 +1171,9 @@ let run ?(quantum = default_quantum) ?(ops_target = 0)
                 d.d_thread <- None;
                 raise e);
         effc =
-          (fun (type a) (e : a Effect.t) ->
-            match e with
-            | Suspend f ->
-                Some (fun (k : (a, unit) Effect.Deep.continuation) -> f th k)
-            | _ -> None);
+          (fun (type a) (e : a Effect.t) :
+               ((a, unit) Effect.Deep.continuation -> unit) option ->
+            match e with Wait -> th.on_wait | _ -> None);
       }
   in
   (* Seed the heap with thread starts, staggered by their first window. *)
@@ -1199,9 +1189,11 @@ let run ?(quantum = default_quantum) ?(ops_target = 0)
   let finalize () =
     d.d_sched <- None;
     d.d_thread <- None;
-    (* Abandoned events (a run that stopped with work still queued) must
-       not leak into the next run that reuses this heap. *)
-    Eheap.clear d.d_heap
+    (* Abandoned events and fibers (a run that stopped with work still
+       queued) must not leak into the next run that reuses this heap and
+       arena. *)
+    Eheap.clear d.d_heap;
+    Array.iter (fun th -> th.parked <- None) threads
   in
   (try
      while s.live > 0 && not (Eheap.is_empty s.q) do

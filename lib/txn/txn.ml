@@ -160,17 +160,26 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
 
   let clock t = Rt.get t.clock
 
+  (* The read-set and write-set walks below are direct recursive loops:
+     a [List] iterator's closure would cost words on every
+     transactional access. *)
+  let rec buffered_write oid k = function
+    | [] -> None
+    | w :: ws ->
+        if obj_id w.w_obj = oid && w.w_key = k then Some w
+        else buffered_write oid k ws
+
+  let rec buffered_read oid k = function
+    | [] -> None
+    | r :: rs ->
+        if r.r_oid = oid && r.r_key = k then Some r else buffered_read oid k rs
+
   let read ctx o k =
     let oid = obj_id o in
-    let buffered =
-      List.find_opt (fun w -> obj_id w.w_obj = oid && w.w_key = k) ctx.writes
-    in
-    match buffered with
+    match buffered_write oid k ctx.writes with
     | Some w -> w.w_val (* read-your-writes *)
     | None -> (
-        match
-          List.find_opt (fun r -> r.r_oid = oid && r.r_key = k) ctx.reads
-        with
+        match buffered_read oid k ctx.reads with
         | Some r -> r.r_val (* repeatable read *)
         | None ->
             let v, tok = obj_read o k in
@@ -210,20 +219,44 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
 
   let release_revert held = List.iter (fun (h, _) -> h.Locks.Handle.revert ()) held
 
+  (* The token a read recorded under handle [id], if any. *)
+  let rec read_token id = function
+    | [] -> None
+    | r :: rs ->
+        if r.r_handle.Locks.Handle.id = id then Some r.r_tok
+        else read_token id rs
+
+  (* The token a held lock was acquired at, if [id] is held. *)
+  let rec held_token id = function
+    | [] -> None
+    | ((h : Locks.Handle.t), tok) :: rest ->
+        if h.id = id then Some tok else held_token id rest
+
+  (* Commit-time read validation, in read-set order. A stripe we hold is
+     compared against the version we locked it at (an [acquire_any] may
+     have slipped past a conflicting commit). *)
+  let rec reads_valid held = function
+    | [] -> true
+    | r :: rs ->
+        (match held_token r.r_handle.Locks.Handle.id held with
+        | Some tok_at_acquire -> tok_at_acquire = r.r_tok
+        | None -> r.r_handle.Locks.Handle.check r.r_tok)
+        && reads_valid held rs
+
+  (* Snapshot validation: every read's version is still current. *)
+  let rec reads_current = function
+    | [] -> true
+    | r :: rs -> r.r_handle.Locks.Handle.check r.r_tok && reads_current rs
+
   (* Returns [Some ticket] on commit, [None] on abort (probes already
      bumped; everything released version-preserving). *)
   let try_commit t ctx =
     let ws = dedupe_writes ctx.writes in
-    let expected (h : Locks.Handle.t) =
-      List.find_map
-        (fun r -> if r.r_handle.Locks.Handle.id = h.id then Some r.r_tok else None)
-        ctx.reads
-    in
     let rec acquire held = function
       | [] -> Ok held
       | (h : Locks.Handle.t) :: rest -> (
           let got =
-            match (t.policy, expected h) with
+            match (t.policy, read_token h.id ctx.reads) with
             | Optimistic, Some tok -> if h.acquire tok then Some tok else None
             | Optimistic, None | Broken_commit, _ -> Some (h.acquire_any ())
           in
@@ -241,24 +274,11 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
         Rt.Probe.incr t.c_aborts;
         None
     | Ok held ->
-        let read_ok (r : rentry) =
-          match
-            List.find_opt
-              (fun ((h : Locks.Handle.t), _) -> h.id = r.r_handle.Locks.Handle.id)
-              held
-          with
-          | Some (_, tok_at_acquire) ->
-              (* We hold this stripe; compare against the version we
-                 locked at (an [acquire_any] may have slipped past a
-                 conflicting commit). *)
-              tok_at_acquire = r.r_tok
-          | None -> r.r_handle.Locks.Handle.check r.r_tok
-        in
         Rt.Probe.span_begin ph_validate;
         let valid =
           match t.policy with
           | Broken_commit -> true
-          | Optimistic -> List.for_all read_ok ctx.reads
+          | Optimistic -> reads_valid held ctx.reads
         in
         Rt.Probe.span_end ph_validate;
         if not valid then begin
@@ -295,16 +315,15 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
 
   (** [snapshot t f] runs [f] against an atomic snapshot and returns
       [(result, c0, c1)]: the snapshot was consistent at some commit
-      ticket in [c0..c1]. Abort-free: validation failure just re-reads. *)
+      ticket in [c0..c1]. Abort-free: validation failure just re-reads,
+      up to [max_retries] times like {!atomically}. *)
   let snapshot t (f : ctx -> 'a) : 'a * int * int =
     let rec go attempt =
+      if attempt > t.max_retries then raise (Too_many_retries attempt);
       let c0 = Rt.get t.clock in
       let ctx = { reads = []; writes = []; ro = true } in
       let x = f ctx in
-      let ok =
-        List.for_all (fun r -> r.r_handle.Locks.Handle.check r.r_tok) ctx.reads
-      in
-      if ok then begin
+      if reads_current ctx.reads then begin
         Rt.Probe.incr t.c_snapshots;
         (x, c0, Rt.get t.clock)
       end
@@ -442,6 +461,14 @@ module Workload = struct
     violations : string list;  (** empty iff serializable and conserved *)
   }
 
+  (* Replayed account balances keyed by (object index, account key). *)
+  module Slot_map = Map.Make (struct
+    type t = int * int
+
+    let compare (o1, k1) (o2, k2) =
+      match Int.compare o1 o2 with 0 -> Int.compare k1 k2 | c -> c
+  end)
+
   (* Strict serializability by replay (see the module comment). Runs
      post-run outside the simulation, on quiesced structures. *)
   let check_serializable (cfg : config) (records : xrec list)
@@ -462,33 +489,36 @@ module Workload = struct
           bad "ticket sequence broken: position %d holds ticket %d" i x.x_ticket)
       transfers;
     (* Replay transfers in ticket order, checkpointing the state after
-       each commit for the audit positioning below. *)
-    let model : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
+       each commit for the audit positioning below. The model is a
+       persistent map, so a checkpoint is the current map itself: it
+       shares every path but the written keys' with its predecessor. *)
+    let model = ref Slot_map.empty in
     for o = 0 to cfg.objects - 1 do
       for k = 1 to cfg.accounts do
-        Hashtbl.replace model (o, k) cfg.initial
+        model := Slot_map.add (o, k) cfg.initial !model
       done
     done;
     let n = List.length transfers in
-    let states = Array.make (n + 1) model in
-    states.(0) <- Hashtbl.copy model;
+    let states = Array.make (n + 1) !model in
     List.iteri
       (fun i x ->
         List.iter
           (fun ((o, k), r) ->
-            let m = Hashtbl.find_opt model (o, k) in
+            let m = Slot_map.find_opt (o, k) !model in
             if m <> r then
               bad "txn %d read (%d,%d) = %s but the serialized state had %s" i o
                 k (pp_v r) (pp_v m))
           x.x_reads;
         List.iter
-          (fun ((o, k), w) ->
-            match w with
-            | Some v -> Hashtbl.replace model (o, k) v
-            | None -> Hashtbl.remove model (o, k))
+          (fun (slot, w) ->
+            model :=
+              match w with
+              | Some v -> Slot_map.add slot v !model
+              | None -> Slot_map.remove slot !model)
           x.x_writes;
-        states.(i + 1) <- Hashtbl.copy model)
+        states.(i + 1) <- !model)
       transfers;
+    let model = !model in
     (* Every audit must equal the replayed state at some position inside
        its clock window — the snapshot had a serialization point. *)
     List.iter
@@ -496,7 +526,7 @@ module Workload = struct
         let lo = max 0 (min a.x_c0 n) and hi = max 0 (min a.x_c1 n) in
         let matches p =
           List.for_all
-            (fun ((o, k), r) -> Hashtbl.find_opt states.(p) (o, k) = r)
+            (fun (slot, r) -> Slot_map.find_opt slot states.(p) = r)
             a.x_reads
         in
         let rec any p = p <= hi && (matches p || any (p + 1)) in
@@ -509,10 +539,10 @@ module Workload = struct
       (fun o ob ->
         T.obj_fold ob
           (fun k v () ->
-            if Hashtbl.find_opt model (o, k) <> Some v then
+            let m = Slot_map.find_opt (o, k) model in
+            if m <> Some v then
               bad "final state (%d,%d) = %d disagrees with the replay (%s)" o k
-                v
-                (pp_v (Hashtbl.find_opt model (o, k))))
+                v (pp_v m))
           ();
         if T.obj_size ob <> cfg.accounts then
           bad "object %d holds %d accounts, expected %d" o (T.obj_size ob)

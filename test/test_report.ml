@@ -1,8 +1,8 @@
 (* Tests for the run-report subsystem (lib/obs/report.ml and
    lib/harness/report.ml): JSON round-tripping, schema validation,
-   wasted-work classification, diff determinism, and the probe-coverage
-   audit that pins the <rep>.<metric> naming convention across the
-   registry. *)
+   wasted-work classification, diff determinism, the hostperf baseline
+   gate, and the probe-coverage audit that pins the <rep>.<metric>
+   naming convention across the registry. *)
 
 module J = Obs.Report
 
@@ -425,6 +425,40 @@ let test_txn_counters_audited () =
   Alcotest.(check bool) "vfail-txn-read is vfail-class" true
     (J.vfail_metric "vfail-txn-read")
 
+(* ---------------- hostperf baseline gate ---------------- *)
+
+(* A row written by [hostperf --out] and read back as a baseline: host
+   rates gate at the given tolerance, words/op at 2%, and only when the
+   baseline came from the running OCaml version. *)
+let test_hostperf_words_gate () =
+  let module H = Host_bench in
+  let row ?(ocaml = Sys.ocaml_version) words =
+    {
+      H.r_name = "row";
+      r_threads = 1;
+      r_ops = 1_000;
+      r_accesses = 10_000;
+      r_events = 100;
+      r_host_s = 1.;
+      r_words = words;
+      r_ocaml = ocaml;
+    }
+  in
+  let check ?ocaml ~base measured =
+    H.check_baseline ~baseline:(H.to_json [ row ?ocaml base ])
+      ~tolerance_pct:20. [ row measured ]
+  in
+  let metrics (gs, skipped) =
+    (List.map (fun g -> g.H.g_metric) gs, skipped)
+  in
+  let pair = Alcotest.(pair (list string) (list string)) in
+  Alcotest.check pair "1% more words passes" ([], [])
+    (metrics (check ~base:40_000. 40_400.));
+  Alcotest.check pair "3% more words fails" ([ "words_per_op" ], [])
+    (metrics (check ~base:40_000. 41_200.));
+  Alcotest.check pair "another OCaml skips the words gate" ([], [ "row" ])
+    (metrics (check ~ocaml:"4.14.0" ~base:40_000. 80_000.))
+
 let () =
   Alcotest.run "report"
     [
@@ -462,6 +496,8 @@ let () =
         [
           Alcotest.test_case "measurement report round-trip" `Quick
             test_harness_report_roundtrip;
+          Alcotest.test_case "hostperf words gate" `Quick
+            test_hostperf_words_gate;
         ] );
       ( "coverage",
         [

@@ -1,6 +1,7 @@
 (* Tests for the deterministic multicore simulator: event heap,
-   topologies, determinism, contention behaviour, preemption windows,
-   packed cache lines and run control. *)
+   topologies, determinism, contention behaviour, allocation on the
+   inline and suspend paths, preemption windows, packed cache lines and
+   run control. *)
 
 module Sched = Sim.Sched
 module Topology = Sim.Topology
@@ -285,6 +286,75 @@ let test_reusable_after_exception () =
   Alcotest.(check int) "second run fine" 2 (Sched.read c)
 
 (* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+
+(* Allocation is read with [Gc.minor_words], which counts every word
+   allocated on the minor heap as it is allocated; [Gc.quick_stat] and
+   [Gc.counters] only advance at minor collections on OCaml 5.1. *)
+
+(* Eight threads hammering one word suspend on almost every access: a
+   suspension may allocate its continuation and nothing else (the
+   closure-carrying effect it replaced allocated about 53 words). *)
+let test_alloc_per_event () =
+  let c = Sched.loc 0 in
+  let w0 = Gc.minor_words () in
+  let st =
+    Sched.run ~topology:uniform4 ~nthreads:8 (fun _ ->
+        for _ = 1 to 2_000 do
+          ignore (Sched.faa c 1 : int)
+        done)
+  in
+  let words = Gc.minor_words () -. w0 in
+  let per_event = words /. float_of_int st.Sched.events in
+  Alcotest.(check int) "faa counter exact" 16_000 (Sched.read c);
+  Alcotest.(check bool) "contended run suspends" true (st.Sched.events > 8_000);
+  if per_event > 8. then
+    Alcotest.failf "%.1f words per scheduler event (%d events), want <= 8"
+      per_event st.Sched.events
+
+(* A lone thread never suspends: its reads, writes and CASes run on the
+   inline fast path, which allocates nothing. *)
+let test_alloc_inline_zero () =
+  let c = Sched.loc 0 in
+  let words = ref nan in
+  ignore
+    (Sched.run ~topology:uniform4 ~nthreads:1 (fun _ ->
+         let w0 = Gc.minor_words () in
+         for i = 1 to 10_000 do
+           let v = Sched.read c in
+           Sched.write c (v + 1);
+           ignore (Sched.cas c (v + 1) i : bool)
+         done;
+         words := Gc.minor_words () -. w0));
+  Alcotest.(check int) "loop ran" 10_000 (Sched.read c);
+  Alcotest.(check (float 0.)) "words allocated by the loop" 0. !words
+
+(* A run that stops while a thread is parked in [Wait] must not keep
+   that thread's fiber alive: a block referenced only from its stack is
+   collectable once [run] returns. *)
+let test_parked_fiber_released () =
+  let w = Weak.create 1 in
+  (try
+     ignore
+       (Sched.run ~topology:uniform4 ~nthreads:2 (fun tid ->
+            if tid = 0 then begin
+              let b = Array.make 64 tid in
+              Weak.set w 0 (Some b);
+              while true do
+                Sched.work 5_000;
+                ignore (Sys.opaque_identity b)
+              done
+            end
+            else begin
+              Sched.work 10;
+              failwith "stop"
+            end))
+   with Failure _ -> ());
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "parked stack collected" false (Weak.check w 0)
+
+(* ------------------------------------------------------------------ *)
 (* Multiprogramming                                                    *)
 
 let test_preemption_windows () =
@@ -525,6 +595,15 @@ let () =
             test_exception_propagates;
           Alcotest.test_case "reusable after exception" `Quick
             test_reusable_after_exception;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "suspension words per event" `Quick
+            test_alloc_per_event;
+          Alcotest.test_case "inline path allocates nothing" `Quick
+            test_alloc_inline_zero;
+          Alcotest.test_case "parked fiber released" `Quick
+            test_parked_fiber_released;
         ] );
       ( "multiprogramming",
         [

@@ -1,8 +1,8 @@
 (* Tests for the optimistic transaction layer (lib/txn): fold/size
    agreement across every registry set (the versioned-OPS API addition),
    sequential transaction semantics (read-your-writes, upsert,
-   lock-conflict abort), seeded determinism under contention, abort-free
-   snapshots, the strict-serializability oracle (positive run plus the
+   lock-conflict abort, the snapshot retry bound, per-stripe lock
+   handles), seeded determinism under contention, abort-free snapshots, the strict-serializability oracle (positive run plus the
    broken-commit negative control), the chaos trial grammar, the report
    section, and the KV multi-key transfer integration. *)
 
@@ -174,6 +174,43 @@ let test_snapshot_is_consistent () =
   in
   Alcotest.(check int) "snapshot sums the preload" 800 sum;
   Alcotest.(check bool) "clock window well-formed" true (c0 <= c1)
+
+(* A commit racing every read phase invalidates the snapshot each time:
+   with [~max_retries:1] the snapshot re-reads once, then gives up. *)
+let test_snapshot_retry_bound () =
+  let a, _ = fresh_pair () in
+  let mgr = TX.create ~max_retries:1 () in
+  let retries0 = count mgr.TX.c_snap_retries in
+  (try
+     ignore
+       (TX.snapshot mgr (fun ctx ->
+            ignore (TX.read ctx a 1 : int option);
+            conflict_commit a 1)
+         : unit * int * int);
+     Alcotest.fail "expected Too_many_retries"
+   with TX.Too_many_retries n ->
+     Alcotest.(check int) "gave up after the budget" 2 n);
+  Alcotest.(check int) "both attempts invalidated" 2
+    (count mgr.TX.c_snap_retries - retries0)
+
+(* Lock handles are built once per stripe: every key of a stripe gets
+   the physically same handle, and stripes get distinct ids. *)
+let test_lock_handle_per_stripe () =
+  let (module S : R.SET_OPS) = W.rep_module "ll-optik" in
+  let st = S.create () in
+  let by_id = Hashtbl.create 16 in
+  for k = 0 to 255 do
+    let h = S.lock_handle st k in
+    Alcotest.(check bool) "repeat lookup is the same handle" true
+      (S.lock_handle st k == h);
+    match Hashtbl.find_opt by_id h.Locks.Handle.id with
+    | Some h' ->
+        Alcotest.(check bool)
+          (Printf.sprintf "key %d shares its stripe's handle" k)
+          true (h == h')
+    | None -> Hashtbl.add by_id h.Locks.Handle.id h
+  done;
+  Alcotest.(check int) "one id per stripe" 16 (Hashtbl.length by_id)
 
 (* ------------------------------------------------------------------ *)
 (* Contended workload: determinism, oracle, negative control. *)
@@ -415,6 +452,10 @@ let () =
             test_read_validation_aborts;
           Alcotest.test_case "snapshot is consistent" `Quick
             test_snapshot_is_consistent;
+          Alcotest.test_case "snapshot retry bound" `Quick
+            test_snapshot_retry_bound;
+          Alcotest.test_case "lock handle per stripe" `Quick
+            test_lock_handle_per_stripe;
         ] );
       ( "determinism",
         [
