@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-full examples doc clean
+.PHONY: all build test bench bench-full bench-native examples doc clean
 
 all: build
 
@@ -12,10 +12,13 @@ test-force:
 	dune runtest --force --no-buffer 2>&1 | tee test_output.txt
 
 bench:
-	dune exec bench/main.exe 2>&1 | tee bench_output.txt
+	dune exec bin/optik_bench.exe -- figures 2>&1 | tee bench_output.txt
 
 bench-full:
-	dune exec bench/main.exe -- --full 2>&1 | tee bench_output_full.txt
+	dune exec bin/optik_bench.exe -- figures --full 2>&1 | tee bench_output_full.txt
+
+bench-native:
+	dune exec bench/main.exe 2>&1 | tee bench_native_output.txt
 
 examples:
 	dune exec examples/quickstart.exe

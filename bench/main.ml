@@ -1,21 +1,10 @@
-(* Benchmark driver: regenerates every figure of the paper on the
-   simulated multicore, checks the paper's claims, and runs Bechamel
-   microbenchmarks (real time, native backend) — one Test per
-   table/figure family.
+(* Bechamel microbenchmarks: native single-thread op cost, in real
+   time, one Test per table/figure family of the paper. The figures
+   themselves are regenerated on the simulated multicore by
+   [optik_bench figures].
 
    Usage:
-     dune exec bench/main.exe                 # all experiments, quick mode
-     dune exec bench/main.exe -- fig9 fig12   # a subset
-     dune exec bench/main.exe -- --full       # denser sweeps
-     dune exec bench/main.exe -- bechamel     # only the microbenchmarks
-
-   (The cmdliner front-end in bin/ exposes the same engine with nicer
-   flags.) *)
-
-let out = print_endline
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: native single-thread op cost per family.  *)
+     dune exec bench/main.exe *)
 
 let bech_tests () =
   let open Bechamel in
@@ -61,13 +50,11 @@ let bech_tests () =
     mk_queue "fig12.q-optik2" N.q_optik2;
   ]
 
-let run_bechamel () =
+let () =
   let open Bechamel in
   let open Toolkit in
-  out "";
-  out (String.make 78 '-');
-  out "Bechamel microbenchmarks (native backend, single thread, real time)";
-  out (String.make 78 '-');
+  print_endline
+    "Bechamel microbenchmarks (native backend, single thread, real time)";
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
     Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
@@ -86,49 +73,3 @@ let run_bechamel () =
           | _ -> Printf.printf "%-28s (no estimate)\n%!" name)
         results)
     (bech_tests ())
-
-(* ------------------------------------------------------------------ *)
-
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let fullmode = List.mem "--full" args in
-  (* [--quick] is accepted (and is the default) so CI invocations can be
-     explicit about the mode they expect. *)
-  let args = List.filter (fun a -> a <> "--full" && a <> "--quick") args in
-  let mode = if fullmode then Figures.Experiments.full else Figures.Experiments.quick in
-  let bech_only = args = [ "bechamel" ] in
-  let ids =
-    match List.filter (fun a -> a <> "bechamel") args with
-    | [] -> Figures.Experiments.all_ids
-    | l -> l
-  in
-  (match
-     List.find_opt (fun id -> not (List.mem id Figures.Experiments.all_ids)) ids
-   with
-  | Some bad ->
-      Printf.eprintf "unknown experiment id %S; known ids: %s\n" bad
-        (String.concat ", " Figures.Experiments.all_ids);
-      exit 2
-  | None -> ());
-  let t0 = Unix.gettimeofday () in
-  if not bech_only then (
-    out
-      (Printf.sprintf
-         "OPTIK reproduction benchmarks — %s mode — experiments: %s"
-         (if fullmode then "full" else "quick")
-         (String.concat " " ids));
-    out
-      "Simulated machines: xeon (2x10x2 @2.8GHz), opteron (8x6 @2.1GHz); \
-       deterministic multicore simulator (see DESIGN.md).";
-    let all_claims = ref [] in
-    List.iter
-      (fun id ->
-        let t1 = Unix.gettimeofday () in
-        let figs, claims = Figures.Experiments.run_id mode id in
-        List.iter (Figures.Render.figure out) figs;
-        all_claims := !all_claims @ claims;
-        Printf.printf "[%s done in %.1fs]\n%!" id (Unix.gettimeofday () -. t1))
-      ids;
-    Figures.Render.claims out !all_claims);
-  if bech_only || args = [] then run_bechamel ();
-  Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -1,9 +1,11 @@
-(* Command-line front-end for the experiment engine: pick experiments,
-   sweep density, or run a single ad-hoc workload against one data
-   structure on either backend.
+(* Command-line front-end for the experiment engine: regenerate the
+   paper's figures, run one ad-hoc workload against one data structure
+   on either backend, drive the KV service, transactions and fuzzers,
+   and compare run reports.
 
    Examples:
      optik_bench figures --ids fig5,fig12
+     optik_bench figures --ids fault
      optik_bench figures --full
      optik_bench run --structure optik --family list --threads 12 \
                      --size 1024 --updates 40 --skewed
@@ -29,6 +31,63 @@ let with_host_time label ops_done f =
      else "");
   r
 
+(* ---------------- shared flags ---------------- *)
+
+(* Bad input exits 2 with one line on stderr and nothing on stdout. *)
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
+let check_known what known names =
+  match List.find_opt (fun n -> not (List.mem n known)) names with
+  | Some bad ->
+      die "unknown %s %S; known: %s" what bad (String.concat ", " known)
+  | None -> ()
+
+let lookup what table name =
+  check_known what (List.map fst table) [ name ];
+  List.assoc name table
+
+(* An int flag checked as Cmdliner evaluates the term, so a bad value
+   exits before any subcommand body runs. *)
+let checked_int ?(docv = "N") name ~default ~doc ~ok ~must =
+  let check n =
+    if not (ok n) then die "--%s must be %s" name must;
+    n
+  in
+  let arg = Arg.(value & opt int default & info [ name ] ~docv ~doc) in
+  Term.(const check $ arg)
+
+(* Counts are at least 1: an op budget of 0 means "unbounded" to the
+   scheduler, and empty structures or thread sets are not workloads. *)
+let count ?docv name ~default ~doc =
+  checked_int ?docv name ~default ~doc ~ok:(fun n -> n >= 1) ~must:">= 1"
+
+let pct name ~default ~doc =
+  checked_int ~docv:"PCT" name ~default ~doc
+    ~ok:(fun n -> n >= 0 && n <= 100)
+    ~must:"in [0,100]"
+
+(* Every subcommand keeps its own default seed and says what it drives. *)
+let seed_arg default doc =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"N" ~doc)
+
+let machines =
+  [ ("xeon", Sim.Topology.xeon); ("opteron", Sim.Topology.opteron) ]
+
+(* [--machine NAME], resolved to [(NAME, topology)]. *)
+let machine_arg =
+  let machine =
+    Arg.(
+      value & opt string "xeon"
+      & info [ "machine" ] ~docv:"M"
+          ~doc:(String.concat " | " (List.map fst machines)))
+  in
+  Term.(const (fun m -> (m, lookup "machine" machines m)) $ machine)
+
 (* ---------------- run reports ---------------- *)
 
 module J = Obs.Report
@@ -48,9 +107,12 @@ let report_arg =
            wasted-work section for every measured run. Deterministic for a \
            given seed; compare two reports with $(b,optik_bench diff).")
 
-let write_report path (j : J.json) =
-  Harness.Report.write path j;
-  Printf.eprintf "[host] wrote report %s\n%!" path
+let write_report report mk =
+  Option.iter
+    (fun path ->
+      Harness.Report.write path (mk ());
+      Printf.eprintf "[host] wrote report %s\n%!" path)
+    report
 
 (* ---------------- request tracing ---------------- *)
 
@@ -59,28 +121,34 @@ let write_report path (j : J.json) =
    --timeline FILE additionally writes the windowed virtual-time series
    as Chrome counter tracks. Either implies tracing; traced and untraced
    runs are cycle-identical (emissions never advance the virtual clock),
-   so turning them on cannot change the measured numbers. *)
-let attrib_arg =
-  Arg.(
-    value & flag
-    & info [ "attrib" ]
-        ~doc:
-          "Trace every request and attribute its latency to typed phases \
-           (queue, route, store, backoff, acquire, validate, commit, resync, \
-           dual-write): prints the per-phase and per-outcome summary and \
-           attaches the $(b,attrib) and $(b,timeline) sections to --report \
-           (diffable with $(b,optik_bench diff)).")
-
-let timeline_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "timeline" ] ~docv:"FILE"
-        ~doc:
-          "Write the virtual-time timeline — windowed completion, retry, \
-           abort, timeout, shed, failover, crash and storm counts plus \
-           per-phase occupancy — as Chrome counter tracks to $(docv) (load \
-           in Perfetto). Implies the tracing --attrib turns on.")
+   so turning them on cannot change the measured numbers. The term is
+   [(record_obs, timeline_file)]. *)
+let tracing_arg =
+  let attrib =
+    Arg.(
+      value & flag
+      & info [ "attrib" ]
+          ~doc:
+            "Trace every request and attribute its latency to typed phases \
+             (queue, route, store, backoff, acquire, validate, commit, \
+             resync, dual-write): prints the per-phase and per-outcome \
+             summary and attaches the $(b,attrib) and $(b,timeline) \
+             sections to --report (diffable with $(b,optik_bench diff)).")
+  in
+  let timeline =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "timeline" ] ~docv:"FILE"
+          ~doc:
+            "Write the virtual-time timeline — windowed completion, retry, \
+             abort, timeout, shed, failover, crash and storm counts plus \
+             per-phase occupancy — as Chrome counter tracks to $(docv) \
+             (load in Perfetto). Implies the tracing --attrib turns on.")
+  in
+  Term.(
+    const (fun attrib timeline -> (attrib || timeline <> None, timeline))
+    $ attrib $ timeline)
 
 let print_attrib (a : Obs.Attrib.t) =
   let module A = Obs.Attrib in
@@ -152,6 +220,38 @@ let trace_analysis ~timeline_file (trace : Obs.Journal.record option) =
           Printf.eprintf "[host] wrote timeline %s\n%!" path);
       [ Harness.Report.attrib_section a; Harness.Report.timeline_section tl ]
 
+(* ---------------- measurement printers ---------------- *)
+
+let print_aborted ?(detail = false) (m : Harness.Runner.measurement) =
+  match m.outcome with
+  | Harness.Runner.Complete -> ()
+  | Harness.Runner.Aborted r ->
+      Printf.printf "  ABORTED: %s\n"
+        (Format.asprintf "%a" Sim.Sched.pp_verdict r.Sim.Sched.r_verdict);
+      if detail then Format.printf "%a@?" Sim.Sched.pp_report r
+
+(* The body kv and txn share: the ABORTED line, simulated throughput in
+   [unit], the service's [extra] lines, then per-class latency tails and
+   every probe counter. *)
+let print_service (m : Harness.Runner.measurement) ~unit extra =
+  print_aborted m;
+  Printf.printf "  throughput      %.3f %s (simulated)\n" m.mops unit;
+  extra ();
+  Array.iteri
+    (fun i cls ->
+      let l = m.lat.(i) in
+      if l.Harness.Pstats.n > 0 then
+        Printf.printf
+          "  %-8s n=%-6d p50=%-8d p95=%-8d p99=%-8d p999=%d cycles\n" cls
+          l.Harness.Pstats.n l.Harness.Pstats.p50 l.Harness.Pstats.p95
+          l.Harness.Pstats.p99 l.Harness.Pstats.p999)
+    m.lat_classes;
+  List.iter (fun (k, v) -> Printf.printf "  counter %-24s %d\n" k v) m.counters
+
+(* A service run fails on its oracle, an abort or an invalid structure. *)
+let exit_unless ok (m : Harness.Runner.measurement) =
+  if (not ok) || Harness.Runner.aborted m || not m.valid then exit 1
+
 (* ---------------- figures ---------------- *)
 
 let figures_cmd =
@@ -166,13 +266,10 @@ let figures_cmd =
     Arg.(value & flag & info [ "full" ] ~doc:"Dense thread sweeps (slower).")
   in
   let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Workload seed threaded into every runner call (default 42, the \
-             seed the committed figures use). Two seeds make an A/B pair \
-             for $(b,optik_bench diff).")
+    seed_arg 42
+      "Workload seed threaded into every runner call (default 42, the seed \
+       the committed figures use). Two seeds make an A/B pair for \
+       $(b,optik_bench diff)."
   in
   let run ids full seed report =
     let mode =
@@ -186,16 +283,7 @@ let figures_cmd =
       | None -> Figures.Experiments.all_ids
       | Some s -> String.split_on_char ',' s |> List.map String.trim
     in
-    (match
-       List.find_opt
-         (fun id -> not (List.mem id Figures.Experiments.all_ids))
-         ids
-     with
-    | Some bad ->
-        Printf.eprintf "unknown experiment id %S; known ids: %s\n" bad
-          (String.concat ", " Figures.Experiments.all_ids);
-        exit 2
-    | None -> ());
+    check_known "experiment id" Figures.Experiments.all_ids ids;
     let claims = ref [] in
     with_host_time
       (Printf.sprintf "figures %s" (String.concat "," ids))
@@ -212,75 +300,37 @@ let figures_cmd =
           ids);
     Figures.Render.claims out !claims;
     let runs = Figures.Experiments.drain_measurements () in
-    match report with
-    | None -> ()
-    | Some path ->
-        write_report path
-          (Harness.Report.make ~subcommand:"figures" ~seed:(Some seed)
-             ~params:
-               [
-                 ("ids", J.Str (String.concat "," ids));
-                 ("full", J.Bool full);
-               ]
-             runs)
+    write_report report (fun () ->
+        Harness.Report.make ~subcommand:"figures" ~seed:(Some seed)
+          ~params:
+            [ ("ids", J.Str (String.concat "," ids)); ("full", J.Bool full) ]
+          runs)
   in
   Cmd.v
-    (Cmd.info "figures" ~doc:"Regenerate the paper's figures (simulator).")
-    Term.(const run $ ids $ full $ seed $ report_arg)
-
-(* ---------------- fault ---------------- *)
-
-let fault_cmd =
-  let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Fault-plan and workload seed: same seed, same schedule, same \
-             fault times, same verdicts.")
-  in
-  let full =
-    Arg.(value & flag & info [ "full" ] ~doc:"Larger per-row op budgets.")
-  in
-  let run seed full report =
-    let mode =
-      let base =
-        if full then Figures.Experiments.full else Figures.Experiments.quick
-      in
-      { base with Figures.Experiments.seed }
-    in
-    with_host_time "fault"
-      (fun _ -> 0)
-      (fun () ->
-        let figs, cs = Figures.Experiments.run_id mode "fault" in
-        List.iter (Figures.Render.figure out) figs;
-        Figures.Render.claims out cs);
-    let runs = Figures.Experiments.drain_measurements () in
-    match report with
-    | None -> ()
-    | Some path ->
-        write_report path
-          (Harness.Report.make ~subcommand:"fault" ~seed:(Some seed)
-             ~params:[ ("full", J.Bool full) ]
-             runs)
-  in
-  Cmd.v
-    (Cmd.info "fault"
+    (Cmd.info "figures"
        ~doc:
-         "Fault-injection experiment: crash/stall threads inside critical \
-          sections and compare blocking vs lock-free behavior under the \
-          liveness watchdog.")
-    Term.(const run $ seed $ full $ report_arg)
+         "Regenerate the paper's figures (simulator). $(b,--ids fault) is \
+          the fault-injection experiment: crash/stall threads inside \
+          critical sections and compare blocking vs lock-free behavior \
+          under the liveness watchdog.")
+    Term.(const run $ ids $ full $ seed $ report_arg)
 
 (* ---------------- single ad-hoc run ---------------- *)
 
-let family_structures = function
-  | "map" -> Harness.Registry.Sim_backend.maps
-  | "list" -> Harness.Registry.Sim_backend.lists
-  | "hashtable" -> Harness.Registry.Sim_backend.hashtables
-  | "skiplist" -> Harness.Registry.Sim_backend.skiplists
-  | "bst" -> Harness.Registry.Sim_backend.bsts
-  | f -> invalid_arg ("unknown family: " ^ f)
+let set_workload ?capacity ~skewed ~size ~updates () =
+  (if skewed then Harness.Runner.skewed_workload
+   else Harness.Runner.uniform_workload)
+    ?capacity ~init_size:size ~update_pct:updates ()
+
+let families =
+  let module SB = Harness.Registry.Sim_backend in
+  [
+    ("map", SB.maps);
+    ("list", SB.lists);
+    ("hashtable", SB.hashtables);
+    ("skiplist", SB.skiplists);
+    ("bst", SB.bsts);
+  ]
 
 let run_cmd =
   let family =
@@ -288,7 +338,7 @@ let run_cmd =
       value
       & opt string "list"
       & info [ "family" ] ~docv:"FAMILY"
-          ~doc:"map | list | hashtable | skiplist | bst")
+          ~doc:(String.concat " | " (List.map fst families)))
   in
   let structure =
     Arg.(
@@ -297,37 +347,21 @@ let run_cmd =
       & info [ "structure" ] ~docv:"NAME"
           ~doc:"Structure name within the family (as in the figures).")
   in
-  let threads =
-    Arg.(value & opt int 10 & info [ "threads" ] ~docv:"N" ~doc:"Thread count.")
-  in
-  let size =
-    Arg.(value & opt int 1024 & info [ "size" ] ~docv:"N" ~doc:"Initial size.")
-  in
+  let threads = count "threads" ~default:10 ~doc:"Thread count." in
+  let size = count "size" ~default:1024 ~doc:"Initial size." in
   let updates =
-    Arg.(
-      value & opt int 40
-      & info [ "updates" ] ~docv:"PCT"
-          ~doc:"Attempted update percentage (split insert/delete).")
+    pct "updates" ~default:40
+      ~doc:"Attempted update percentage (split insert/delete)."
   in
   let skewed =
     Arg.(value & flag & info [ "skewed" ] ~doc:"Zipfian keys (a = 0.9).")
   in
-  let machine =
-    Arg.(
-      value & opt string "xeon"
-      & info [ "machine" ] ~docv:"M" ~doc:"xeon | opteron")
-  in
-  let ops =
-    Arg.(value & opt int 20_000 & info [ "ops" ] ~docv:"N" ~doc:"Total operations.")
-  in
+  let ops = count "ops" ~default:20_000 ~doc:"Total operations." in
   let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "RNG seed: same seed, same workload, same simulated schedule, \
-             same result. The effective seed is always printed so any run \
-             can be replayed.")
+    seed_arg 42
+      "RNG seed: same seed, same workload, same simulated schedule, same \
+       result. The effective seed is always printed so any run can be \
+       replayed."
   in
   let trace =
     Arg.(
@@ -351,44 +385,21 @@ let run_cmd =
              serialization stalls per allocation site), the ops/restarts \
              time series and per-thread totals.")
   in
-  let run family structure threads size updates skewed machine ops seed trace
-      profile report =
-    let topology =
-      match machine with
-      | "xeon" -> Sim.Topology.xeon
-      | "opteron" -> Sim.Topology.opteron
-      | m ->
-          Printf.eprintf "unknown machine %S (use xeon or opteron)\n" m;
-          exit 2
-    in
-    let structures =
-      try family_structures family
-      with Invalid_argument msg ->
-        Printf.eprintf "%s (use map, list, hashtable, skiplist or bst)\n" msg;
-        exit 2
-    in
+  let run family structure threads size updates skewed (machine, topology) ops
+      seed trace profile report =
     let (module S : Harness.Registry.SET_OPS) =
-      try Harness.Registry.Sim_backend.find_named structures structure
-      with Not_found ->
-        Printf.eprintf "unknown structure %S in family %S; known: %s\n"
-          structure family
-          (String.concat ", "
-             (List.map
-                (fun (module S : Harness.Registry.SET_OPS) -> S.name)
-                structures));
-        exit 2
+      lookup (family ^ " structure")
+        (List.map
+           (fun (module S : Harness.Registry.SET_OPS) ->
+             (S.name, (module S : Harness.Registry.SET_OPS)))
+           (lookup "family" families family))
+        structure
     in
     let w =
-      let base =
-        if skewed then
-          Harness.Runner.skewed_workload ~init_size:size ~update_pct:updates ()
-        else
-          Harness.Runner.uniform_workload ~init_size:size ~update_pct:updates
-            ()
-      in
-      match family with
-      | "map" | "hashtable" -> { base with Harness.Runner.capacity = Some size }
-      | _ -> base
+      set_workload ~skewed ~size ~updates
+        ?capacity:
+          (match family with "map" | "hashtable" -> Some size | _ -> None)
+        ()
     in
     (* A report wants hot-line stall attribution, so it records the
        journal like --profile does; recording never perturbs the
@@ -403,12 +414,7 @@ let run_cmd =
       family structure machine threads size updates
       (if skewed then " (zipf 0.9)" else "")
       seed;
-    (match m.Harness.Runner.outcome with
-    | Harness.Runner.Complete -> ()
-    | Harness.Runner.Aborted r ->
-        Printf.printf "  ABORTED: %s\n"
-          (Format.asprintf "%a" Sim.Sched.pp_verdict r.Sim.Sched.r_verdict);
-        Format.printf "%a@?" Sim.Sched.pp_report r);
+    print_aborted ~detail:true m;
     Printf.printf "  throughput      %.2f Mops/s\n" m.Harness.Runner.mops;
     Printf.printf "  effective upd   %.1f%%\n" m.Harness.Runner.eff_update_pct;
     Printf.printf "  CAS total/failed %d/%d\n" m.Harness.Runner.cas
@@ -438,29 +444,26 @@ let run_cmd =
             Printf.printf "  trace           %s (%d events)\n" path
               s.Obs.Profile.s_events);
         if profile then Format.printf "%a@?" Obs.Profile.pp s);
-    match report with
-    | None -> ()
-    | Some path ->
-        write_report path
-          (Harness.Report.make ~subcommand:"run" ~seed:(Some seed)
-             ~params:
-               [
-                 ("family", J.Str family);
-                 ("structure", J.Str structure);
-                 ("threads", J.Int threads);
-                 ("size", J.Int size);
-                 ("updates", J.Int updates);
-                 ("skewed", J.Bool skewed);
-                 ("machine", J.Str machine);
-                 ("ops", J.Int ops);
-               ]
-             [ (Printf.sprintf "%s/%s" family structure, m) ])
+    write_report report (fun () ->
+        Harness.Report.make ~subcommand:"run" ~seed:(Some seed)
+          ~params:
+            [
+              ("family", J.Str family);
+              ("structure", J.Str structure);
+              ("threads", J.Int threads);
+              ("size", J.Int size);
+              ("updates", J.Int updates);
+              ("skewed", J.Bool skewed);
+              ("machine", J.Str machine);
+              ("ops", J.Int ops);
+            ]
+          [ (Printf.sprintf "%s/%s" family structure, m) ])
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload against one structure.")
     Term.(
       const run $ family $ structure $ threads $ size $ updates $ skewed
-      $ machine $ ops $ seed $ trace $ profile $ report_arg)
+      $ machine_arg $ ops $ seed $ trace $ profile $ report_arg)
 
 (* ---------------- soak ---------------- *)
 
@@ -470,17 +473,12 @@ let run_cmd =
    test/soak.exe. *)
 let soak_cmd =
   let runs_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "runs" ] ~docv:"N" ~doc:"Number of randomized runs (default 6).")
+    count "runs" ~default:6 ~doc:"Number of randomized runs (default 6)."
   in
   let seed =
-    Arg.(
-      value & opt int 424242
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Sweep seed (default 424242, the golden-digest seed): drives \
-             structure, topology, thread-count and workload sampling.")
+    seed_arg 424242
+      "Sweep seed (default 424242, the golden-digest seed): drives \
+       structure, topology, thread-count and workload sampling."
   in
   let run runs seed report =
     let module R = Harness.Registry in
@@ -508,15 +506,7 @@ let soak_cmd =
             List.nth all_sets (Harness.Rng.below rng (List.length all_sets))
           in
           let w =
-            let base =
-              if skewed then
-                Harness.Runner.skewed_workload ~init_size:size
-                  ~update_pct:updates ()
-              else
-                Harness.Runner.uniform_workload ~init_size:size
-                  ~update_pct:updates ()
-            in
-            { base with Harness.Runner.capacity = Some (2 * size) }
+            set_workload ~skewed ~size ~updates ~capacity:(2 * size) ()
           in
           Dstruct.Sl_common.reset_states ();
           let m =
@@ -544,13 +534,10 @@ let soak_cmd =
             (Printf.sprintf "soak/%02d/%s" i S.name, m) :: !measured
         done);
     Printf.printf "soak finished: %d runs, %d failures\n" runs !failures;
-    (match report with
-    | None -> ()
-    | Some path ->
-        write_report path
-          (Harness.Report.make ~subcommand:"soak" ~seed:(Some seed)
-             ~params:[ ("runs", J.Int runs) ]
-             (List.rev !measured)));
+    write_report report (fun () ->
+        Harness.Report.make ~subcommand:"soak" ~seed:(Some seed)
+          ~params:[ ("runs", J.Int runs) ]
+          (List.rev !measured));
     if !failures > 0 then exit 1
   in
   Cmd.v
@@ -560,6 +547,8 @@ let soak_cmd =
           topologies and workloads from one seed, invariant-checked; \
           reproducible, unlike the time-bounded test/soak.exe.")
     Term.(const run $ runs_arg $ seed $ report_arg)
+
+(* ---------------- trial families ---------------- *)
 
 (* The fuzz and replay modes every trial family shares: [chaos] itself,
    and [kv]/[txn] under --fuzz/--replay. A replay string that does not
@@ -571,14 +560,42 @@ let trial_mode fam ~runs ~seed ~replay ppf =
         with_host_time (fam.Chaos.command ^ " replay")
           (fun _ -> 1)
           (fun () -> Chaos.replay fam s ppf)
-      with Invalid_argument msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2)
+      with Invalid_argument msg -> die "%s" msg)
   | None ->
       with_host_time
         (Printf.sprintf "%s fuzz %d trials" fam.Chaos.command runs)
         (fun _ -> runs)
         (fun () -> Chaos.fuzz fam ~runs ~seed ppf)
+
+(* [--fuzz N] / [--replay TRIAL] for the service subcommands: [what]
+   names the trial, [fuzzes] says what a fuzz trial draws and checks. *)
+let fuzz_replay_arg ~what ~fuzzes =
+  let fuzz =
+    Arg.(
+      value & opt int 0
+      & info [ "fuzz" ] ~docv:"N"
+          ~doc:
+            ("Instead of one run: fuzz $(docv) random " ^ fuzzes
+           ^ ", shrinking failures to one-line repros."))
+  in
+  let replay =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "replay" ] ~docv:"TRIAL"
+          ~doc:("Replay one " ^ what ^ " trial string (as emitted by --fuzz)."))
+  in
+  Term.(const (fun fuzz replay -> (fuzz, replay)) $ fuzz $ replay)
+
+(* Under --fuzz N (which wins) or --replay TRIAL, run [fam]'s trials
+   instead of the subcommand's single run [one]. *)
+let or_trials fam ~seed (fuzz, replay) one =
+  if fuzz > 0 || replay <> None then begin
+    let replay = if fuzz > 0 then None else replay in
+    if trial_mode fam ~runs:fuzz ~seed ~replay Format.std_formatter > 0 then
+      exit 1
+  end
+  else one ()
 
 (* Run a trial stream [f ppf] to stdout. With --report it renders into a
    buffer instead, so the same lines land both on stdout (unchanged
@@ -586,7 +603,7 @@ let trial_mode fam ~runs ~seed ~replay ppf =
 let trial_stream report ~subcommand ~seed ~params f =
   match report with
   | None -> f Format.std_formatter
-  | Some path ->
+  | Some _ ->
       let buf = Buffer.create 8192 in
       let ppf = Format.formatter_of_buffer buf in
       let failures = f ppf in
@@ -597,31 +614,24 @@ let trial_stream report ~subcommand ~seed ~params f =
         String.split_on_char '\n' output
         |> List.filter (fun l -> String.trim l <> "")
       in
-      write_report path
-        (J.make ~subcommand ~seed:(Some seed) ~params ~runs:[]
-           ~sections:
-             [
-               ("failures", J.Int failures);
-               ("trials", J.Arr (List.map (fun l -> J.Str l) lines));
-             ]);
+      write_report report (fun () ->
+          J.make ~subcommand ~seed:(Some seed) ~params ~runs:[]
+            ~sections:
+              [
+                ("failures", J.Int failures);
+                ("trials", J.Arr (List.map (fun l -> J.Str l) lines));
+              ]);
       failures
 
 (* ---------------- chaos ---------------- *)
 
 let chaos_cmd =
-  let runs =
-    Arg.(
-      value & opt int 100
-      & info [ "runs" ] ~docv:"N" ~doc:"Number of random trials.")
-  in
+  let runs = count "runs" ~default:100 ~doc:"Number of random trials." in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Fuzzing seed. Trial $(i,i) is drawn from seed + i*1000003, so a \
-             (seed, runs) pair is byte-deterministic and any sub-range can \
-             be re-fuzzed independently.")
+    seed_arg 1
+      "Fuzzing seed. Trial $(i,i) is drawn from seed + i*1000003, so a \
+       (seed, runs) pair is byte-deterministic and any sub-range can be \
+       re-fuzzed independently."
   in
   let structures =
     Arg.(
@@ -656,31 +666,14 @@ let chaos_cmd =
       | None -> entries
       | Some s ->
           let names = String.split_on_char ',' s |> List.map String.trim in
-          (match
-             List.find_opt
-               (fun n ->
-                 not
-                   (List.exists
-                      (fun e -> String.equal e.Chaos.e_name n)
-                      Chaos.default_entries))
-               names
-           with
-          | Some bad ->
-              Printf.eprintf "unknown structure %S; known: %s\n" bad
-                (String.concat ", "
-                   (List.map
-                      (fun e -> e.Chaos.e_name)
-                      Chaos.default_entries));
-              exit 2
-          | None -> ());
+          check_known "structure"
+            (List.map (fun e -> e.Chaos.e_name) Chaos.default_entries)
+            names;
           List.filter
             (fun e -> List.mem e.Chaos.e_name names)
             Chaos.default_entries
     in
-    if entries = [] then begin
-      Printf.eprintf "no structures selected\n";
-      exit 2
-    end;
+    if entries = [] then die "no structures selected";
     (* Replay resolves names against the full table, so a repro from a
        --quick run always parses. *)
     let failures =
@@ -721,35 +714,24 @@ let fleet_cmd =
              $(b,kv) (sharded KV service) or $(b,txn) (optimistic \
              transactions).")
   in
-  let trials =
-    Arg.(
-      value & opt int 100
-      & info [ "trials" ] ~docv:"N" ~doc:"Total number of random trials.")
-  in
+  let trials = count "trials" ~default:100 ~doc:"Total number of random trials." in
   let batch =
-    Arg.(
-      value & opt int 10
-      & info [ "batch" ] ~docv:"B"
-          ~doc:
-            "Trials per fleet task. Smaller batches balance better across \
-             domains; larger ones amortize per-task world resets. Output \
-             bytes do not depend on the batch size.")
+    count ~docv:"B" "batch" ~default:10
+      ~doc:
+        "Trials per fleet task. Smaller batches balance better across \
+         domains; larger ones amortize per-task world resets. Output bytes \
+         do not depend on the batch size."
   in
   let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"J"
-          ~doc:
-            "Worker domains (default: the host's recommended domain count \
-             minus one). Output bytes do not depend on $(docv): trial i is \
-             always drawn from seed + i*1000003 and every task starts from \
-             a pristine per-domain simulator world.")
+    checked_int ~docv:"J" "jobs" ~default:0 ~ok:(fun n -> n >= 0) ~must:">= 0"
+      ~doc:
+        "Worker domains (default: the host's recommended domain count minus \
+         one). Output bytes do not depend on $(docv): trial i is always \
+         drawn from seed + i*1000003 and every task starts from a pristine \
+         per-domain simulator world."
   in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Fuzzing seed, same seeding scheme as the serial fuzzers.")
+    seed_arg 1 "Fuzzing seed, same seeding scheme as the serial fuzzers."
   in
   let quick =
     Arg.(
@@ -760,26 +742,9 @@ let fleet_cmd =
              (no skip lists, no BST).")
   in
   let run kind trials batch jobs seed quick report =
-    if trials < 1 then begin
-      Printf.eprintf "fleet: --trials must be >= 1\n";
-      exit 2
-    end;
-    if batch < 1 then begin
-      Printf.eprintf "fleet: --batch must be >= 1\n";
-      exit 2
-    end;
-    let jobs =
-      if jobs = 0 then Harness.Fleet.default_jobs ()
-      else if jobs < 1 then begin
-        Printf.eprintf "fleet: --jobs must be >= 1\n";
-        exit 2
-      end
-      else jobs
-    in
-    if quick && kind <> "chaos" then begin
-      Printf.eprintf "fleet: --quick only applies to --kind chaos\n";
-      exit 2
-    end;
+    let jobs = if jobs = 0 then Harness.Fleet.default_jobs () else jobs in
+    if quick && kind <> "chaos" then
+      die "fleet: --quick only applies to --kind chaos";
     let families =
       [
         Chaos.Family
@@ -833,68 +798,38 @@ let kv_cmd =
            ^ String.concat " | " Kv.rep_names ^ "."))
   in
   let shards =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Shard count (each shard is a primary + replica store pair).")
+    count "shards" ~default:4
+      ~doc:"Shard count (each shard is a primary + replica store pair)."
   in
-  let threads =
-    Arg.(
-      value & opt int 8
-      & info [ "threads" ] ~docv:"N" ~doc:"Open-loop client threads.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 6_000
-      & info [ "ops" ] ~docv:"N" ~doc:"Requests to serve.")
-  in
+  let threads = count "threads" ~default:8 ~doc:"Open-loop client threads." in
+  let ops = count "ops" ~default:6_000 ~doc:"Requests to serve." in
   let keys =
-    Arg.(
-      value & opt int 4096
-      & info [ "keys" ] ~docv:"N" ~doc:"Key space [1..N], zipf 0.9 popularity.")
+    count "keys" ~default:4096 ~doc:"Key space [1..N], zipf 0.9 popularity."
   in
-  let read =
-    Arg.(
-      value & opt int 70
-      & info [ "read" ] ~docv:"PCT" ~doc:"Read (get) percentage.")
-  in
+  let read = pct "read" ~default:70 ~doc:"Read (get) percentage." in
   let scan =
-    Arg.(
-      value & opt int 10
-      & info [ "scan" ] ~docv:"PCT"
-          ~doc:"Scan percentage (the rest after reads and scans is puts).")
+    pct "scan" ~default:10
+      ~doc:"Scan percentage (the rest after reads and scans is puts)."
   in
   let transfer =
-    Arg.(
-      value & opt int 0
-      & info [ "transfer-pct" ] ~docv:"PCT"
-          ~doc:
-            "Multi-key transfer percentage (carved from the put share): \
-             each transfer moves units between two account keys — usually \
-             on different shards — inside one optimistic transaction, and \
-             the oracle additionally checks account conservation. \
-             Unsupported together with fault plans (wipes lose balances).")
+    pct "transfer-pct" ~default:0
+      ~doc:
+        "Multi-key transfer percentage (carved from the put share): each \
+         transfer moves units between two account keys — usually on \
+         different shards — inside one optimistic transaction, and the \
+         oracle additionally checks account conservation. Unsupported \
+         together with fault plans (wipes lose balances)."
   in
   let accounts =
-    Arg.(
-      value & opt int 16
-      & info [ "accounts" ] ~docv:"N"
-          ~doc:
-            "Account keys for --transfer-pct, in the dedicated range \
-             keys+1 .. keys+N.")
-  in
-  let machine =
-    Arg.(
-      value & opt string "xeon"
-      & info [ "machine" ] ~docv:"M" ~doc:"xeon | opteron")
+    count "accounts" ~default:16
+      ~doc:
+        "Account keys for --transfer-pct, in the dedicated range keys+1 .. \
+         keys+N."
   in
   let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Workload seed: same seed (and same fault plan), byte-identical \
-             output and report.")
+    seed_arg 42
+      "Workload seed: same seed (and same fault plan), byte-identical \
+       output and report."
   in
   let deadline =
     Arg.(
@@ -991,133 +926,85 @@ let kv_cmd =
              a mid-copy crash \"completes\" and re-arms a voided pair). \
              Both must make the oracle FAIL under multi-crash plans.")
   in
-  let fuzz =
-    Arg.(
-      value & opt int 0
-      & info [ "fuzz" ] ~docv:"N"
-          ~doc:
-            "Instead of one run: fuzz $(docv) random KV trials (shard \
-             crashes, client crashes, stalls, storms) under the service \
-             oracles, shrinking failures to one-line repros.")
+  let trials =
+    fuzz_replay_arg ~what:"KV"
+      ~fuzzes:
+        "KV trials (shard crashes, client crashes, stalls, storms) under the \
+         service oracles"
   in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"TRIAL"
-          ~doc:"Replay one KV trial string (as emitted by --fuzz).")
-  in
-  let run rep shards threads ops keys read scan transfer accounts machine seed
-      deadline retries faults rolling down_for stagger broken_retry
-      no_replication degraded_for resync_batch broken_resync fuzz replay report
-      attrib timeline =
-    let topo =
-      match machine with
-      | "xeon" -> Sim.Topology.xeon
-      | "opteron" -> Sim.Topology.opteron
-      | m ->
-          Printf.eprintf "unknown machine %S (use xeon or opteron)\n" m;
-          exit 2
+  let run rep shards threads ops keys read scan transfer accounts
+      (machine, topo) seed deadline retries faults rolling down_for stagger
+      broken_retry no_replication degraded_for resync_batch broken_resync
+      trials report (record_obs, timeline) =
+    check_known "rep" Kv.rep_names [ rep ];
+    if read + scan + transfer > 100 then
+      die "--read + --scan + --transfer-pct must be at most 100";
+    or_trials Chaos.kv_family ~seed trials @@ fun () ->
+    let plan =
+      try
+        match faults with
+        | Some s -> Some (Sim.Fault.of_string s)
+        | None when rolling > 0 ->
+            let stagger =
+              if stagger > 0 then stagger else max 1 (ops / (rolling + 1))
+            in
+            Some
+              (Kv.rolling_plan ~seed ~nshards:shards ~count:rolling ~down_for
+                 ~stagger ())
+        | None -> None
+      with Invalid_argument msg -> die "%s" msg
     in
-    if not (List.mem rep Kv.rep_names) then begin
-      Printf.eprintf "unknown rep %S; known: %s\n" rep
-        (String.concat ", " Kv.rep_names);
-      exit 2
-    end;
-    if read + scan + transfer > 100 then begin
-      Printf.eprintf "--read + --scan + --transfer-pct must be at most 100\n";
-      exit 2
-    end;
-    match (fuzz, replay) with
-    | n, r when n > 0 || r <> None ->
-        let replay = if n > 0 then None else r in
-        if trial_mode Chaos.kv_family ~runs:n ~seed ~replay Format.std_formatter > 0
-        then exit 1
-    | _ ->
-        let plan =
-          match faults with
-          | Some s -> (
-              try Some (Sim.Fault.of_string s)
-              with Invalid_argument msg ->
-                Printf.eprintf "%s\n" msg;
-                exit 2)
-          | None ->
-              if rolling > 0 then
-                let stagger =
-                  if stagger > 0 then stagger else max 1 (ops / (rolling + 1))
-                in
-                try
-                  Some
-                    (Kv.rolling_plan ~seed ~nshards:shards ~count:rolling
-                       ~down_for ~stagger ())
-                with Invalid_argument msg ->
-                  Printf.eprintf "%s\n" msg;
-                  exit 2
-              else None
-        in
-        if transfer > 0 && plan <> None then begin
-          Printf.eprintf
-            "--transfer-pct cannot be combined with fault plans (a wipe \
-             loses account balances)\n";
-          exit 2
-        end;
-        let policy =
+    if transfer > 0 && plan <> None then
+      die
+        "--transfer-pct cannot be combined with fault plans (a wipe loses \
+         account balances)";
+    let policy =
+      {
+        Kv.default_policy with
+        Kv.deadline;
+        max_retries = retries;
+        idempotent = not broken_retry;
+        replicate = not no_replication;
+        degraded_cycles = degraded_for;
+        resync_batch;
+        resync_dual_write = broken_resync <> Some `Dual_write;
+        resync_fencing = broken_resync <> Some `Fencing;
+      }
+    in
+    let cfg =
+      {
+        Kv.rep;
+        nshards = shards;
+        threads;
+        ops;
+        seed;
+        topo;
+        workload =
           {
-            Kv.default_policy with
-            Kv.deadline;
-            max_retries = retries;
-            idempotent = not broken_retry;
-            replicate = not no_replication;
-            degraded_cycles = degraded_for;
-            resync_batch;
-            resync_dual_write = broken_resync <> Some `Dual_write;
-            resync_fencing = broken_resync <> Some `Fencing;
-          }
-        in
-        let cfg =
-          {
-            Kv.rep;
-            nshards = shards;
-            threads;
-            ops;
-            seed;
-            topo;
-            workload =
-              {
-                Kv.default_workload with
-                Kv.keys;
-                read_pct = read;
-                scan_pct = scan;
-                transfer_pct = transfer;
-                accounts;
-              };
-            policy;
-            plan;
-          }
-        in
-        let record_obs = attrib || timeline <> None in
-        let m, r =
-          with_host_time
-            (Printf.sprintf "kv %s" rep)
-            (fun (m, _) -> m.Harness.Runner.ops)
-            (fun () -> Kv.run ~record_obs cfg)
-        in
-        Printf.printf
-          "kv/%s on %s, %d shards (primary+replica), %d clients, %d requests, \
-           %d%% reads %d%% scans, seed %d\n"
-          rep machine shards threads ops read scan seed;
-        Printf.printf "  faults          %s\n"
-          (match plan with
-          | None -> "none"
-          | Some p -> Sim.Fault.to_string p);
-        (match m.Harness.Runner.outcome with
-        | Harness.Runner.Complete -> ()
-        | Harness.Runner.Aborted rep ->
-            Printf.printf "  ABORTED: %s\n"
-              (Format.asprintf "%a" Sim.Sched.pp_verdict
-                 rep.Sim.Sched.r_verdict));
-        Printf.printf "  throughput      %.3f Mreq/s (simulated)\n"
-          m.Harness.Runner.mops;
+            Kv.default_workload with
+            Kv.keys;
+            read_pct = read;
+            scan_pct = scan;
+            transfer_pct = transfer;
+            accounts;
+          };
+        policy;
+        plan;
+      }
+    in
+    let m, r =
+      with_host_time
+        (Printf.sprintf "kv %s" rep)
+        (fun (m, _) -> m.Harness.Runner.ops)
+        (fun () -> Kv.run ~record_obs cfg)
+    in
+    Printf.printf
+      "kv/%s on %s, %d shards (primary+replica), %d clients, %d requests, \
+       %d%% reads %d%% scans, seed %d\n"
+      rep machine shards threads ops read scan seed;
+    Printf.printf "  faults          %s\n"
+      (match plan with None -> "none" | Some p -> Sim.Fault.to_string p);
+    print_service m ~unit:"Mreq/s" (fun () ->
         Printf.printf "  acked writes    %d (%.1f%% of requests)\n"
           r.Kv.res_oracle.Kv.acked_writes m.Harness.Runner.eff_update_pct;
         let ctr name =
@@ -1128,84 +1015,59 @@ let kv_cmd =
           "  retries %d  timeouts %d  sheds %d  failovers %d  backoff-cycles \
            %d\n"
           (ctr "kv.retries") (ctr "kv.timeouts") (ctr "kv.sheds")
-          (ctr "kv.failovers")
-          (ctr "kv.backoff-cycles");
+          (ctr "kv.failovers") (ctr "kv.backoff-cycles");
         if ctr "kv.resyncs" > 0 || ctr "kv.resync-aborts" > 0 then
           Printf.printf "  resyncs %d  aborted %d  re-arms %d\n"
-            (ctr "kv.resyncs")
-            (ctr "kv.resync-aborts")
-            (ctr "kv.rearms");
-        Array.iteri
-          (fun i cls ->
-            let l = m.Harness.Runner.lat.(i) in
-            if l.Harness.Pstats.n > 0 then
-              Printf.printf
-                "  %-8s n=%-6d p50=%-8d p95=%-8d p99=%-8d p999=%d cycles\n" cls
-                l.Harness.Pstats.n l.Harness.Pstats.p50 l.Harness.Pstats.p95
-                l.Harness.Pstats.p99 l.Harness.Pstats.p999)
-          m.Harness.Runner.lat_classes;
-        List.iter
-          (fun (k, v) -> Printf.printf "  counter %-24s %d\n" k v)
-          m.Harness.Runner.counters;
-        Array.iteri
-          (fun i (p, rr) ->
-            let s = r.Kv.res_shard_lat.(i) in
-            Printf.printf
-              "  shard s%-2d       primary=%-6d replica=%-6d p99=%-8d p999=%-8d \
-               warranty=%s\n"
-              i p rr s.Harness.Pstats.p99 s.Harness.Pstats.p999
-              (Kv.warranty_name r.Kv.res_warranty.(i)))
-          r.Kv.res_shard_sizes;
-        if r.Kv.res_events <> [] then begin
-          Printf.printf "  failover timeline:\n";
-          List.iter (fun e -> Printf.printf "    %s\n" e) r.Kv.res_events
-        end;
-        Printf.printf "  %s\n"
-          (Format.asprintf "%a" Kv.pp_oracle r.Kv.res_oracle);
-        let trace_sections =
-          trace_analysis ~timeline_file:timeline r.Kv.res_trace
-        in
-        (match report with
-        | None -> ()
-        | Some path ->
-            write_report path
-              (Harness.Report.make ~subcommand:"kv" ~seed:(Some seed)
-                 ~params:
-                   [
-                     ("rep", J.Str rep);
-                     ("shards", J.Int shards);
-                     ("threads", J.Int threads);
-                     ("ops", J.Int ops);
-                     ("keys", J.Int keys);
-                     ("read", J.Int read);
-                     ("scan", J.Int scan);
-                     ("transfer_pct", J.Int transfer);
-                     ("accounts", J.Int accounts);
-                     ("machine", J.Str machine);
-                     ( "faults",
-                       match plan with
-                       | None -> J.Null
-                       | Some p -> J.Str (Sim.Fault.to_string p) );
-                     ("broken_retry", J.Bool broken_retry);
-                     ("no_replication", J.Bool no_replication);
-                     ("degraded_for", J.Int degraded_for);
-                     ("resync_batch", J.Int resync_batch);
-                     ( "broken_resync",
-                       match broken_resync with
-                       | None -> J.Null
-                       | Some `Dual_write -> J.Str "dual-write"
-                       | Some `Fencing -> J.Str "fencing" );
-                   ]
-                 ~sections:(Kv.report_section cfg r :: trace_sections)
-                 [ ("kv/" ^ rep, m) ]));
-        (* Exit on the warranted verdict: a loss in a voided pair is the
-           one outage f = 1 permits (and the run reports it); any other
-           loss, duplicate, abort or invalid structure is a failure. *)
-        if
-          (not r.Kv.res_oracle.Kv.warranted_ok)
-          || Harness.Runner.aborted m
-          || not m.Harness.Runner.valid
-        then exit 1
+            (ctr "kv.resyncs") (ctr "kv.resync-aborts") (ctr "kv.rearms"));
+    Array.iteri
+      (fun i (p, rr) ->
+        let s = r.Kv.res_shard_lat.(i) in
+        Printf.printf
+          "  shard s%-2d       primary=%-6d replica=%-6d p99=%-8d p999=%-8d \
+           warranty=%s\n"
+          i p rr s.Harness.Pstats.p99 s.Harness.Pstats.p999
+          (Kv.warranty_name r.Kv.res_warranty.(i)))
+      r.Kv.res_shard_sizes;
+    if r.Kv.res_events <> [] then begin
+      Printf.printf "  failover timeline:\n";
+      List.iter (fun e -> Printf.printf "    %s\n" e) r.Kv.res_events
+    end;
+    Printf.printf "  %s\n" (Format.asprintf "%a" Kv.pp_oracle r.Kv.res_oracle);
+    let trace_sections = trace_analysis ~timeline_file:timeline r.Kv.res_trace in
+    write_report report (fun () ->
+        Harness.Report.make ~subcommand:"kv" ~seed:(Some seed)
+          ~params:
+            [
+              ("rep", J.Str rep);
+              ("shards", J.Int shards);
+              ("threads", J.Int threads);
+              ("ops", J.Int ops);
+              ("keys", J.Int keys);
+              ("read", J.Int read);
+              ("scan", J.Int scan);
+              ("transfer_pct", J.Int transfer);
+              ("accounts", J.Int accounts);
+              ("machine", J.Str machine);
+              ( "faults",
+                match plan with
+                | None -> J.Null
+                | Some p -> J.Str (Sim.Fault.to_string p) );
+              ("broken_retry", J.Bool broken_retry);
+              ("no_replication", J.Bool no_replication);
+              ("degraded_for", J.Int degraded_for);
+              ("resync_batch", J.Int resync_batch);
+              ( "broken_resync",
+                match broken_resync with
+                | None -> J.Null
+                | Some `Dual_write -> J.Str "dual-write"
+                | Some `Fencing -> J.Str "fencing" );
+            ]
+          ~sections:(Kv.report_section cfg r :: trace_sections)
+          [ ("kv/" ^ rep, m) ]);
+    (* Exit on the warranted verdict: a loss in a voided pair is the one
+       outage f = 1 permits (and the run reports it); any other loss,
+       duplicate, abort or invalid structure is a failure. *)
+    exit_unless r.Kv.res_oracle.Kv.warranted_ok m
   in
   Cmd.v
     (Cmd.info "kv"
@@ -1216,61 +1078,42 @@ let kv_cmd =
           exactly-once oracle.")
     Term.(
       const run $ rep $ shards $ threads $ ops $ keys $ read $ scan $ transfer
-      $ accounts $ machine $ seed $ deadline $ retries $ faults $ rolling
+      $ accounts $ machine_arg $ seed $ deadline $ retries $ faults $ rolling
       $ down_for $ stagger $ broken_retry $ no_replication $ degraded_for
-      $ resync_batch $ broken_resync $ fuzz $ replay $ report_arg $ attrib_arg
-      $ timeline_arg)
+      $ resync_batch $ broken_resync $ trials $ report_arg $ tracing_arg)
 
 (* ---------------- txn ---------------- *)
 
 let txn_cmd =
+  let d = Txn.Workload.default_config in
   let rep =
     Arg.(
       value
-      & opt string Txn.Workload.default_config.Txn.Workload.rep
+      & opt string d.Txn.Workload.rep
       & info [ "rep" ] ~docv:"REP"
           ~doc:
             ("Registry structure each bank object uses: "
            ^ String.concat " | " Txn.Workload.rep_names ^ "."))
   in
   let objects =
-    Arg.(
-      value & opt int Txn.Workload.default_config.Txn.Workload.objects
-      & info [ "objects" ] ~docv:"N"
-          ~doc:"Independent structures transactions span.")
+    count "objects" ~default:d.Txn.Workload.objects
+      ~doc:"Independent structures transactions span."
   in
   let accounts =
-    Arg.(
-      value & opt int Txn.Workload.default_config.Txn.Workload.accounts
-      & info [ "accounts" ] ~docv:"N" ~doc:"Accounts per structure.")
+    count "accounts" ~default:d.Txn.Workload.accounts
+      ~doc:"Accounts per structure."
   in
   let threads =
-    Arg.(
-      value & opt int Txn.Workload.default_config.Txn.Workload.threads
-      & info [ "threads" ] ~docv:"N" ~doc:"Worker threads.")
+    count "threads" ~default:d.Txn.Workload.threads ~doc:"Worker threads."
   in
-  let ops =
-    Arg.(
-      value & opt int Txn.Workload.default_config.Txn.Workload.ops
-      & info [ "ops" ] ~docv:"N" ~doc:"Transactions to run.")
-  in
+  let ops = count "ops" ~default:d.Txn.Workload.ops ~doc:"Transactions to run." in
   let transfer =
-    Arg.(
-      value & opt int Txn.Workload.default_config.Txn.Workload.transfer_pct
-      & info [ "transfer-pct" ] ~docv:"PCT"
-          ~doc:
-            "Transfer percentage; the rest are read-only snapshot audits.")
-  in
-  let machine =
-    Arg.(
-      value & opt string "xeon"
-      & info [ "machine" ] ~docv:"M" ~doc:"xeon | opteron")
+    pct "transfer-pct" ~default:d.Txn.Workload.transfer_pct
+      ~doc:"Transfer percentage; the rest are read-only snapshot audits."
   in
   let seed =
-    Arg.(
-      value & opt int Txn.Workload.default_config.Txn.Workload.seed
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Workload seed: same seed, byte-identical output and report.")
+    seed_arg d.Txn.Workload.seed
+      "Workload seed: same seed, byte-identical output and report."
   in
   let broken =
     Arg.(
@@ -1281,121 +1124,62 @@ let txn_cmd =
              validation, so racing transfers commit on stale reads. The \
              serializability oracle must FAIL — the negative control.")
   in
-  let fuzz =
-    Arg.(
-      value & opt int 0
-      & info [ "fuzz" ] ~docv:"N"
-          ~doc:
-            "Instead of one run: fuzz $(docv) random transaction trials \
-             (reps, topologies, contention levels) under the strict \
-             serializability oracle, shrinking failures to one-line repros.")
+  let trials =
+    fuzz_replay_arg ~what:"transaction"
+      ~fuzzes:
+        "transaction trials (reps, topologies, contention levels) under the \
+         strict serializability oracle"
   in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"TRIAL"
-          ~doc:"Replay one transaction trial string (as emitted by --fuzz).")
-  in
-  let run rep objects accounts threads ops transfer machine seed broken fuzz
-      replay report attrib timeline =
-    let topo =
-      match machine with
-      | "xeon" -> Sim.Topology.xeon
-      | "opteron" -> Sim.Topology.opteron
-      | m ->
-          Printf.eprintf "unknown machine %S (use xeon or opteron)\n" m;
-          exit 2
+  let run rep objects accounts threads ops transfer (machine, topo) seed broken
+      trials report (record_obs, timeline) =
+    check_known "rep" Txn.Workload.rep_names [ rep ];
+    or_trials Chaos.txn_family ~seed trials @@ fun () ->
+    let cfg =
+      {
+        Txn.Workload.rep;
+        objects;
+        accounts;
+        initial = d.Txn.Workload.initial;
+        threads;
+        ops;
+        seed;
+        transfer_pct = transfer;
+        topo;
+        broken;
+      }
     in
-    if not (List.mem rep Txn.Workload.rep_names) then begin
-      Printf.eprintf "unknown rep %S; known: %s\n" rep
-        (String.concat ", " Txn.Workload.rep_names);
-      exit 2
-    end;
-    if transfer < 0 || transfer > 100 then begin
-      Printf.eprintf "--transfer-pct must be in [0,100]\n";
-      exit 2
-    end;
-    match (fuzz, replay) with
-    | n, r when n > 0 || r <> None ->
-        let replay = if n > 0 then None else r in
-        if trial_mode Chaos.txn_family ~runs:n ~seed ~replay Format.std_formatter > 0
-        then exit 1
-    | _ ->
-        let cfg =
-          {
-            Txn.Workload.rep;
-            objects;
-            accounts;
-            initial = Txn.Workload.default_config.Txn.Workload.initial;
-            threads;
-            ops;
-            seed;
-            transfer_pct = transfer;
-            topo;
-            broken;
-          }
-        in
-        let record_obs = attrib || timeline <> None in
-        let m, r =
-          with_host_time
-            (Printf.sprintf "txn %s" rep)
-            (fun (m, _) -> m.Harness.Runner.ops)
-            (fun () -> Txn.Workload.run ~record_obs cfg)
-        in
-        Printf.printf
-          "txn/%s on %s, %d objects x %d accounts, %d threads, %d \
-           transactions, %d%% transfers, seed %d%s\n"
-          rep machine objects accounts threads ops transfer seed
-          (if broken then " (BROKEN commit protocol)" else "");
-        (match m.Harness.Runner.outcome with
-        | Harness.Runner.Complete -> ()
-        | Harness.Runner.Aborted rep ->
-            Printf.printf "  ABORTED: %s\n"
-              (Format.asprintf "%a" Sim.Sched.pp_verdict
-                 rep.Sim.Sched.r_verdict));
-        Printf.printf "  throughput      %.3f Mtxn/s (simulated)\n"
-          m.Harness.Runner.mops;
-        Array.iteri
-          (fun i cls ->
-            let l = m.Harness.Runner.lat.(i) in
-            if l.Harness.Pstats.n > 0 then
-              Printf.printf
-                "  %-8s n=%-6d p50=%-8d p95=%-8d p99=%-8d p999=%d cycles\n" cls
-                l.Harness.Pstats.n l.Harness.Pstats.p50 l.Harness.Pstats.p95
-                l.Harness.Pstats.p99 l.Harness.Pstats.p999)
-          m.Harness.Runner.lat_classes;
-        List.iter
-          (fun (k, v) -> Printf.printf "  counter %-24s %d\n" k v)
-          m.Harness.Runner.counters;
-        Printf.printf "%s\n"
-          (Format.asprintf "%a" Txn.Workload.pp_result r);
-        let trace_sections =
-          trace_analysis ~timeline_file:timeline r.Txn.Workload.res_trace
-        in
-        (match report with
-        | None -> ()
-        | Some path ->
-            write_report path
-              (Harness.Report.make ~subcommand:"txn" ~seed:(Some seed)
-                 ~params:
-                   [
-                     ("rep", J.Str rep);
-                     ("objects", J.Int objects);
-                     ("accounts", J.Int accounts);
-                     ("threads", J.Int threads);
-                     ("ops", J.Int ops);
-                     ("transfer_pct", J.Int transfer);
-                     ("machine", J.Str machine);
-                     ("broken", J.Bool broken);
-                   ]
-                 ~sections:(Txn.Workload.report_section cfg r :: trace_sections)
-                 [ ("txn/" ^ rep, m) ]));
-        if
-          (not r.Txn.Workload.res_oracle.Txn.Workload.ok)
-          || Harness.Runner.aborted m
-          || not m.Harness.Runner.valid
-        then exit 1
+    let m, r =
+      with_host_time
+        (Printf.sprintf "txn %s" rep)
+        (fun (m, _) -> m.Harness.Runner.ops)
+        (fun () -> Txn.Workload.run ~record_obs cfg)
+    in
+    Printf.printf
+      "txn/%s on %s, %d objects x %d accounts, %d threads, %d transactions, \
+       %d%% transfers, seed %d%s\n"
+      rep machine objects accounts threads ops transfer seed
+      (if broken then " (BROKEN commit protocol)" else "");
+    print_service m ~unit:"Mtxn/s" ignore;
+    Printf.printf "%s\n" (Format.asprintf "%a" Txn.Workload.pp_result r);
+    let trace_sections =
+      trace_analysis ~timeline_file:timeline r.Txn.Workload.res_trace
+    in
+    write_report report (fun () ->
+        Harness.Report.make ~subcommand:"txn" ~seed:(Some seed)
+          ~params:
+            [
+              ("rep", J.Str rep);
+              ("objects", J.Int objects);
+              ("accounts", J.Int accounts);
+              ("threads", J.Int threads);
+              ("ops", J.Int ops);
+              ("transfer_pct", J.Int transfer);
+              ("machine", J.Str machine);
+              ("broken", J.Bool broken);
+            ]
+          ~sections:(Txn.Workload.report_section cfg r :: trace_sections)
+          [ ("txn/" ^ rep, m) ]);
+    exit_unless r.Txn.Workload.res_oracle.Txn.Workload.ok m
   in
   Cmd.v
     (Cmd.info "txn"
@@ -1405,8 +1189,8 @@ let txn_cmd =
           lock-set commit, abort-free snapshot audits, and a strict \
           serializability oracle over the committed history.")
     Term.(
-      const run $ rep $ objects $ accounts $ threads $ ops $ transfer $ machine
-      $ seed $ broken $ fuzz $ replay $ report_arg $ attrib_arg $ timeline_arg)
+      const run $ rep $ objects $ accounts $ threads $ ops $ transfer
+      $ machine_arg $ seed $ broken $ trials $ report_arg $ tracing_arg)
 
 (* ---------------- hostperf ---------------- *)
 
@@ -1439,12 +1223,10 @@ let hostperf_cmd =
           ~doc:"Allowed regression vs the baseline, percent (default 20).")
   in
   let repeats =
-    Arg.(
-      value & opt int 3
-      & info [ "repeats" ] ~docv:"N"
-          ~doc:
-            "Run each workload $(docv) times and keep the best host time \
-             (the simulated side is identical every repeat).")
+    count "repeats" ~default:3
+      ~doc:
+        "Run each workload $(docv) times and keep the best host time (the \
+         simulated side is identical every repeat)."
   in
   let run out_file baseline tolerance repeats report =
     let results = Host_bench.run ~repeats () in
@@ -1454,11 +1236,9 @@ let hostperf_cmd =
     | Some path ->
         Host_bench.write_json path results;
         Printf.eprintf "[host] wrote %s\n%!" path);
-    (match report with
-    | None -> ()
-    | Some path ->
-        (* Only the simulated side of hostperf is deterministic; host
-           seconds stay out of the report (they live in --out / stderr). *)
+    (* Only the simulated side of hostperf is deterministic; host seconds
+       stay out of the report (they live in --out / stderr). *)
+    write_report report (fun () ->
         let runs =
           List.map
             (fun (r : Host_bench.result) ->
@@ -1477,29 +1257,18 @@ let hostperf_cmd =
                 ])
             results
         in
-        let j =
-          J.make ~subcommand:"hostperf" ~seed:None
-            ~params:[ ("repeats", J.Int repeats) ]
-            ~runs ~sections:[]
-        in
-        (match J.validate j with
-        | Ok () -> ()
-        | Error e -> invalid_arg ("hostperf report invalid: " ^ e));
-        J.write_file path j;
-        Printf.eprintf "[host] wrote report %s\n%!" path);
+        J.make ~subcommand:"hostperf" ~seed:None
+          ~params:[ ("repeats", J.Int repeats) ]
+          ~runs ~sections:[]);
     match baseline with
     | None -> ()
     | Some path ->
         let content =
           try In_channel.with_open_text path In_channel.input_all
-          with Sys_error msg ->
-            Printf.eprintf "cannot read baseline: %s\n" msg;
-            exit 2
+          with Sys_error msg -> die "cannot read baseline: %s" msg
         in
-        if Host_bench.parse_baseline content = [] then begin
-          Printf.eprintf "baseline %s contains no results\n" path;
-          exit 2
-        end;
+        if Host_bench.parse_baseline content = [] then
+          die "baseline %s contains no results" path;
         let regressions, skipped =
           Host_bench.check_baseline ~baseline:content ~tolerance_pct:tolerance
             results
@@ -1557,19 +1326,13 @@ let diff_cmd =
           match J.validate j with
           | Ok () -> j
           | Error e ->
-              Printf.eprintf "report %s (%s) failed validation: %s\n" label
-                path e;
-              exit 2)
-      | Error e ->
-          Printf.eprintf "cannot parse %s (%s): %s\n" label path e;
-          exit 2
+              die "report %s (%s) failed validation: %s" label path e)
+      | Error e -> die "cannot parse %s (%s): %s" label path e
     in
     let a = load "A" file_a and b = load "B" file_b in
     match J.diff ~top a b with
     | Ok text -> print_string text
-    | Error e ->
-        Printf.eprintf "diff failed: %s\n" e;
-        exit 2
+    | Error e -> die "diff failed: %s" e
   in
   Cmd.v
     (Cmd.info "diff"
@@ -1621,28 +1384,20 @@ let probes_cmd =
 
 let list_cmd =
   let run () =
-    let p label l =
-      Printf.printf "%-11s %s\n" label
-        (String.concat ", "
-           (List.map
-              (fun (module S : Harness.Registry.SET_OPS) -> S.name)
-              l))
-    in
-    p "maps:" Harness.Registry.Sim_backend.maps;
-    p "lists:" Harness.Registry.Sim_backend.lists;
-    p "hashtables:" Harness.Registry.Sim_backend.hashtables;
-    p "skiplists:" Harness.Registry.Sim_backend.skiplists;
-    p "bsts:" Harness.Registry.Sim_backend.bsts;
-    Printf.printf "%-11s %s\n" "queues:"
-      (String.concat ", "
-         (List.map
-            (fun (module Q : Harness.Registry.QUEUE_OPS) -> Q.name)
-            Harness.Registry.Sim_backend.queues));
-    Printf.printf "%-11s %s\n" "stacks:"
-      (String.concat ", "
-         (List.map
-            (fun (module S : Harness.Registry.STACK_OPS) -> S.name)
-            Harness.Registry.Sim_backend.stacks));
+    let p label names = Printf.printf "%-11s %s\n" label (String.concat ", " names) in
+    List.iter
+      (fun (family, structures) ->
+        p (family ^ "s:")
+          (List.map (fun (module S : Harness.Registry.SET_OPS) -> S.name) structures))
+      families;
+    p "queues:"
+      (List.map
+         (fun (module Q : Harness.Registry.QUEUE_OPS) -> Q.name)
+         Harness.Registry.Sim_backend.queues);
+    p "stacks:"
+      (List.map
+         (fun (module S : Harness.Registry.STACK_OPS) -> S.name)
+         Harness.Registry.Sim_backend.stacks);
     Printf.printf "experiments: %s\n"
       (String.concat ", " Figures.Experiments.all_ids)
   in
@@ -1660,7 +1415,6 @@ let () =
        (Cmd.group info
           [
             figures_cmd;
-            fault_cmd;
             run_cmd;
             soak_cmd;
             chaos_cmd;

@@ -245,7 +245,8 @@ let attrib_section (a : Obs.Attrib.t) : string * J.json =
 (** The virtual-time timeline section: one object per window ("w00" …)
     holding the window's event counts and per-phase occupancy, plus the
     grid geometry. Objects, not arrays, so the report diff's numeric-leaf
-    flattener yields stable [timeline.w07.retries] paths. *)
+    flattener yields stable [timeline.w07.retries] paths. The
+    structure-level ops/restarts series are left to the run's profile. *)
 let timeline_section (tl : Obs.Attrib.timeline) : string * J.json =
   let open Obs.Attrib in
   let window w =

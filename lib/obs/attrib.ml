@@ -16,7 +16,9 @@
     count, per window, completions, retries, aborts, timeouts, sheds,
     failovers, crash observations and storm-issued requests, plus each
     phase's {e occupancy} (total cycles any thread spent inside the
-    phase overlapping the window). Storms read as a retry/backoff spike,
+    phase overlapping the window). The same pass counts the structure
+    layer's [Op_boundary] and [Restart] checkpoints, the ops/restarts
+    series of {!Profile}. Storms read as a retry/backoff spike,
     crashes as a crash mark followed by failover + resync occupancy —
     visible on the timeline instead of smeared into run totals. *)
 
@@ -215,6 +217,8 @@ type timeline = {
   tl_failovers : int array;
   tl_crashes : int array;  (** node-crash observations + thread crashes *)
   tl_storms : int array;  (** requests issued inside a hot-key storm *)
+  tl_ops : int array;  (** [Op_boundary] checkpoints *)
+  tl_restarts : int array;  (** [Restart] checkpoints *)
   tl_occ : (string * int array) list;
       (** phase -> occupied cycles per window, sorted by phase *)
 }
@@ -244,7 +248,9 @@ let timeline ?(nwindows = default_windows) (r : Journal.record) : timeline =
   and sheds = z ()
   and failovers = z ()
   and crashes = z ()
-  and storms = z () in
+  and storms = z ()
+  and ops = z ()
+  and restarts = z () in
   let occ : (string, int array) Hashtbl.t = Hashtbl.create 8 in
   let occupy name b e =
     let a =
@@ -313,6 +319,8 @@ let timeline ?(nwindows = default_windows) (r : Journal.record) : timeline =
                   Hashtbl.replace stacks e.tid rest;
                   occupy p b e.at
               | _ -> ()))
+      | Journal.Point Rt.Rt_intf.Op_boundary -> bump ops e.at
+      | Journal.Point Rt.Rt_intf.Restart -> bump restarts e.at
       | Journal.Sample _ | Journal.Point _ -> ())
     r.entries;
   (* Spans still open at EOF occupy through the horizon. *)
@@ -331,6 +339,8 @@ let timeline ?(nwindows = default_windows) (r : Journal.record) : timeline =
     tl_failovers = failovers;
     tl_crashes = crashes;
     tl_storms = storms;
+    tl_ops = ops;
+    tl_restarts = restarts;
     tl_occ =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) occ []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
@@ -377,6 +387,8 @@ let merge = function
         tl_failovers = sum (fun t -> t.tl_failovers);
         tl_crashes = sum (fun t -> t.tl_crashes);
         tl_storms = sum (fun t -> t.tl_storms);
+        tl_ops = sum (fun t -> t.tl_ops);
+        tl_restarts = sum (fun t -> t.tl_restarts);
         tl_occ =
           Hashtbl.fold (fun k v acc -> (k, v) :: acc) occ []
           |> List.sort (fun (a, _) (b, _) -> String.compare a b);
@@ -386,7 +398,8 @@ let merge = function
 (* Chrome counter tracks                                               *)
 
 (* One counter event per window boundary per track, so Perfetto renders
-   the windowed series as stacked counter tracks under pid 0. *)
+   the windowed series as stacked counter tracks under pid 0. The
+   structure-level ops/restarts series are {!Profile}'s and stay out. *)
 let timeline_chrome (tl : timeline) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"traceEvents\":[\n";

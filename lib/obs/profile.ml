@@ -1,7 +1,7 @@
 (** Profiles computed from a {!Journal.record}: hot-line contention
     tables (coherence transfers, failed CAS and owner bounces attributed
-    to the allocating structure/field) and restart-rate / throughput
-    time series sliced per thread. *)
+    to the allocating structure/field), per-thread ops/restarts totals,
+    and the ops/restarts time series of {!Attrib.timeline}. *)
 
 (** Per-site aggregate over every cache line the site allocated. *)
 type hotline = {
@@ -13,20 +13,14 @@ type hotline = {
   hl_stalls : int;
 }
 
-(** One bucket of the run's time axis. *)
-type window = { w_t0 : int; w_t1 : int; w_ops : int; w_restarts : int }
-
 type thread_total = { tt_tid : int; tt_ops : int; tt_restarts : int }
 
 type summary = {
   s_events : int;  (** journal entries recorded *)
   s_hotlines : hotline list;  (** by transfers (desc), then failed CAS *)
-  s_windows : window list;  (** whole-run series, {!n_windows} buckets *)
   s_threads : thread_total list;  (** per-thread ops/restarts, asc tid *)
   s_record : Journal.record;  (** the raw journal, for trace export *)
 }
-
-let n_windows = 16
 
 let unattributed = "(unattributed)"
 
@@ -67,35 +61,6 @@ let hotlines (r : Journal.record) =
              | c -> c)
          | c -> c)
 
-(* Series are computed from the journal's [Op_boundary] and [Restart]
-   checkpoints; [keep] selects the slice (whole run or one thread). *)
-let windows_of (r : Journal.record) keep =
-  let horizon =
-    Array.fold_left (fun m (e : Journal.entry) -> max m e.at) 0 r.entries
-  in
-  let span = max 1 horizon in
-  let width = (span + n_windows - 1) / n_windows in
-  let ops = Array.make n_windows 0 in
-  let restarts = Array.make n_windows 0 in
-  Array.iter
-    (fun (e : Journal.entry) ->
-      if keep e.tid then
-        let w = min (n_windows - 1) (e.at / width) in
-        match e.kind with
-        | Journal.Point Rt.Rt_intf.Op_boundary -> ops.(w) <- ops.(w) + 1
-        | Journal.Point Rt.Rt_intf.Restart -> restarts.(w) <- restarts.(w) + 1
-        | _ -> ())
-    r.entries;
-  List.init n_windows (fun i ->
-      {
-        w_t0 = i * width;
-        w_t1 = min span ((i + 1) * width);
-        w_ops = ops.(i);
-        w_restarts = restarts.(i);
-      })
-
-let thread_windows r ~tid = windows_of r (fun t -> t = tid)
-
 let thread_totals (r : Journal.record) =
   let tbl : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
@@ -113,7 +78,6 @@ let summarize (r : Journal.record) =
   {
     s_events = Array.length r.entries;
     s_hotlines = hotlines r;
-    s_windows = windows_of r (fun _ -> true);
     s_threads = thread_totals r;
     s_record = r;
   }
@@ -131,13 +95,16 @@ let pp_hotlines ppf s =
         h.hl_transfers h.hl_cas_fails h.hl_bounces h.hl_stalls)
     s.s_hotlines
 
+(* The ops/restarts series is the shared timeline's, on 16 windows. *)
 let pp_series ppf s =
-  Format.fprintf ppf "time series (%d windows): ops | restarts@\n" n_windows;
-  List.iter
-    (fun w ->
-      Format.fprintf ppf "  [%9d..%9d) %6d | %6d@\n" w.w_t0 w.w_t1 w.w_ops
-        w.w_restarts)
-    s.s_windows
+  let tl = Attrib.timeline ~nwindows:16 s.s_record in
+  Format.fprintf ppf "time series (%d windows): ops | restarts@\n"
+    tl.tl_nwindows;
+  for w = 0 to tl.tl_nwindows - 1 do
+    Format.fprintf ppf "  [%9d..%9d) %6d | %6d@\n" (w * tl.tl_width)
+      (min tl.tl_horizon ((w + 1) * tl.tl_width))
+      tl.tl_ops.(w) tl.tl_restarts.(w)
+  done
 
 let pp_threads ppf s =
   Format.fprintf ppf "per-thread totals:@\n";

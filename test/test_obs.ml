@@ -79,12 +79,27 @@ let test_journal_contents () =
   in
   Alcotest.(check int) "journal ops match measurement" m.Harness.Runner.ops
     journal_ops;
-  let windows_ops =
-    List.fold_left
-      (fun a (w : Obs.Profile.window) -> a + w.w_ops)
-      0 s.Obs.Profile.s_windows
+  let tl = Obs.Attrib.timeline ~nwindows:16 s.Obs.Profile.s_record in
+  Alcotest.(check int) "window series conserves ops" journal_ops
+    (Array.fold_left ( + ) 0 tl.Obs.Attrib.tl_ops)
+
+(* The timeline's restarts series is a bucketing of the journal's
+   [Restart] checkpoints: summed over the windows it gives them all. *)
+let test_timeline_restarts () =
+  let s = summary_of (run_once ~record_obs:true ()) in
+  let r = s.Obs.Profile.s_record in
+  let journal_restarts =
+    Array.fold_left
+      (fun n (e : Obs.Journal.entry) ->
+        match e.kind with
+        | Obs.Journal.Point Rt.Rt_intf.Restart -> n + 1
+        | _ -> n)
+      0 r.Obs.Journal.entries
   in
-  Alcotest.(check int) "window series conserves ops" journal_ops windows_ops
+  Alcotest.(check bool) "run restarts" true (journal_restarts > 0);
+  let tl = Obs.Attrib.timeline ~nwindows:16 r in
+  Alcotest.(check int) "window series conserves restarts" journal_restarts
+    (Array.fold_left ( + ) 0 tl.Obs.Attrib.tl_restarts)
 
 (* Chrome exporter: every "B" has a matching "E" (critical sections are
    synthesized from checkpoint pairs; leftovers are auto-closed). *)
@@ -144,6 +159,8 @@ let () =
             test_hotlines_attributed;
           Alcotest.test_case "journal totals consistent" `Quick
             test_journal_contents;
+          Alcotest.test_case "timeline restarts match journal" `Quick
+            test_timeline_restarts;
         ] );
       ( "exporters",
         [
