@@ -11,7 +11,9 @@
    - fixed-seed KV and transaction fuzzing sessions,
    - the repro string the shrinker derives from a known-failing trial,
    - a soak-style randomized sweep summary (workload tuple + full stats),
-   - a Chrome trace_event export and its JSONL twin.
+   - a Chrome trace_event export and its JSONL twin,
+   - run reports of the queue runner, the stack runner and one Figure 5
+     point.
 
    The digests were recorded before the PR-4 hot-path overhaul and must
    survive it unchanged. If an *intentional* output-format change breaks
@@ -173,6 +175,33 @@ let report_output name =
        ~params:[ ("structure", Obs.Report.Str name) ]
        [ ("list/" ^ name, m) ])
 
+(* Run reports of the measurement paths the set-runner report does not
+   cover: a recorded queue run, a stack run, and one Figure 5 point (which
+   drives the scheduler directly). *)
+let measurement_report name (m : Harness.Runner.measurement) =
+  Obs.Report.to_string
+    (Harness.Report.make ~subcommand:"run" ~seed:(Some 11) ~params:[]
+       [ (name, m) ])
+
+let queue_report () =
+  let (module Q : R.QUEUE_OPS) = R.Sim_backend.q_optik2 in
+  measurement_report Q.name
+    (Harness.Runner.run_queue_sim ~topology:Sim.Topology.xeon ~nthreads:8
+       ~ops:4_000 ~seed:11 ~init:512 ~record_obs:true ~enqueue_pct:50
+       (module Q))
+
+let stack_report () =
+  let (module St : R.STACK_OPS) = R.Sim_backend.stack_optik in
+  measurement_report St.name
+    (Harness.Runner.run_stack_sim ~topology:Sim.Topology.opteron ~nthreads:6
+       ~ops:4_000 ~seed:11 ~init:256 ~push_pct:40
+       (module St))
+
+let fig5_report () =
+  measurement_report "f5/optik-ticket"
+    (Figures.Experiments.fig5_point Figures.Experiments.Optik_ticket
+       ~topology:Sim.Topology.xeon ~nthreads:8 ~ops:4_000)
+
 let diff_output () =
   let parse s =
     match Obs.Report.parse s with
@@ -210,6 +239,11 @@ let golden_diff = "43583b66f19053aef91773fd8efd0d5c"
 let golden_kv = "33e80266bbb5d8a561255f3fb77cc798"
 let golden_txn = "73b5a76a20ff6b0648988d17ecbf94a5"
 let golden_shrink = "7f2e2919f6324a8ecf73052801f2a3b5"
+(* Recorded while the queue, stack and set runners each had their own
+   loop and every measurement was written out by hand. *)
+let golden_queue = "cbd21cad702a0a3a1d139578ecd758e9"
+let golden_stack = "246ac2549be9db15b33cde73d6f45261"
+let golden_fig5 = "a766b2659c656a24cb080f1479e04ccc"
 
 (* ------------------------------------------------------------------ *)
 
@@ -233,6 +267,11 @@ let test_kv () = check_digest "kv fuzz" golden_kv (kv_output ())
 let test_txn () = check_digest "txn fuzz" golden_txn (txn_output ())
 let test_shrink () = check_digest "chaos shrink" golden_shrink (shrink_output ())
 
+let test_runners () =
+  check_digest "queue report" golden_queue (queue_report ());
+  check_digest "stack report" golden_stack (stack_report ());
+  check_digest "fig5 report" golden_fig5 (fig5_report ())
+
 (* Two back-to-back productions digest identically: determinism within a
    process, independent of the recorded constants (catches state leaking
    from one run into the next). *)
@@ -255,6 +294,9 @@ let () =
     Printf.printf "let golden_kv = %S\n" (digest (kv_output ()));
     Printf.printf "let golden_txn = %S\n" (digest (txn_output ()));
     Printf.printf "let golden_shrink = %S\n" (digest (shrink_output ()));
+    Printf.printf "let golden_queue = %S\n" (digest (queue_report ()));
+    Printf.printf "let golden_stack = %S\n" (digest (stack_report ()));
+    Printf.printf "let golden_fig5 = %S\n" (digest (fig5_report ()));
     exit 0
   end;
   Alcotest.run "digest"
@@ -270,6 +312,7 @@ let () =
           Alcotest.test_case "kv fuzz" `Quick test_kv;
           Alcotest.test_case "txn fuzz" `Quick test_txn;
           Alcotest.test_case "chaos shrink" `Quick test_shrink;
+          Alcotest.test_case "runner reports" `Quick test_runners;
           Alcotest.test_case "self-stable" `Quick test_self_stable;
         ] );
     ]

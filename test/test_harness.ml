@@ -207,16 +207,28 @@ let test_queue_runner () =
   let (module Q : Harness.Registry.QUEUE_OPS) =
     Harness.Registry.Sim_backend.q_ms_lf
   in
-  let m =
-    Harness.Runner.run_queue_sim ~topology:Tutil.uniform4 ~nthreads:4
-      ~ops:5_000 ~init:1_000 ~enqueue_pct:60
-      (module Q)
+  let (module St : Harness.Registry.STACK_OPS) =
+    Harness.Registry.Sim_backend.stack_treiber
   in
-  (* 60/40 enqueue mix grows the queue *)
-  Alcotest.(check bool)
-    (Printf.sprintf "queue grew (%d)" m.Harness.Runner.final_size)
-    true
-    (m.Harness.Runner.final_size > 1_000)
+  (* a 60/40 enqueue (push) mix grows the queue (stack) *)
+  List.iter
+    (fun (m : Harness.Runner.measurement) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s grew (%d)" m.name m.final_size)
+        true (m.final_size > 1_000);
+      Alcotest.(check bool) (m.name ^ " reached its op target") true
+        (m.ops >= 5_000);
+      Alcotest.(check int)
+        (m.name ^ " one summary per class")
+        (Array.length m.lat_classes) (Array.length m.lat))
+    [
+      Harness.Runner.run_queue_sim ~topology:Tutil.uniform4 ~nthreads:4
+        ~ops:5_000 ~init:1_000 ~enqueue_pct:60
+        (module Q);
+      Harness.Runner.run_stack_sim ~topology:Tutil.uniform4 ~nthreads:4
+        ~ops:5_000 ~init:1_000 ~push_pct:60
+        (module St);
+    ]
 
 let () =
   Alcotest.run "harness"
