@@ -17,9 +17,9 @@
     word from run to run, so it can be gated tightly where host time
     cannot.
 
-    Results serialize to [BENCH_sim.json], one result object per line, so
-    the committed baseline can be parsed (and the CI tolerance gate
-    applied) with plain string scanning — no JSON dependency. *)
+    Results serialize to [BENCH_sim.json], one result object per line,
+    and the committed baseline is read back with the run reports' JSON
+    parser ({!Obs.Report.parse}). *)
 
 module R = Harness.Registry
 module Runner = Harness.Runner
@@ -138,45 +138,21 @@ let specs =
           let locs =
             Array.init 64 (fun _ -> Sim.Sched.loc_packed ~group 0)
           in
-          let host0 = Unix.gettimeofday () in
-          let stats, outcome =
-            Runner.run_guarded ~topology ~nthreads ~ops_target:40_000
-              (fun tid ->
-                let i = ref tid in
-                while not (Sim.Sched.stop_requested ()) do
-                  ignore (Sim.Sched.faa locs.(!i land 63) 1);
-                  i := !i + 7;
-                  Sim.Sched.tick ();
-                  Sim.Sched.work 32
-                done)
+          let run, host_s, _ =
+            Runner.measured (fun () ->
+                Runner.run_guarded ~topology ~nthreads ~ops_target:40_000
+                  (fun tid ->
+                    let i = ref tid in
+                    while not (Sim.Sched.stop_requested ()) do
+                      ignore (Sim.Sched.faa locs.(!i land 63) 1);
+                      i := !i + 7;
+                      Sim.Sched.tick ();
+                      Sim.Sched.work 32
+                    done))
           in
-          let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
-          {
-            Runner.name = "cap/faa-10k";
-            topo_name = topology.Sim.Topology.name;
-            seed = 7;
-            threads = nthreads;
-            mops = Sim.Sched.mops topology stats;
-            ops = stats.Sim.Sched.ops;
-            wall_s =
-              float_of_int stats.Sim.Sched.wall_cycles
-              /. (topology.Sim.Topology.ghz *. 1e9);
-            eff_update_pct = 0.;
-            reads = stats.Sim.Sched.reads;
-            writes = stats.Sim.Sched.writes;
-            cas = stats.Sim.Sched.cas;
-            cas_failed = stats.Sim.Sched.cas_failed;
-            faa = stats.Sim.Sched.faa;
-            events = stats.Sim.Sched.events;
-            host_s;
-            lat = [||];
-            lat_classes = [||];
-            counters = [];
-            final_size = 0;
-            valid = (match outcome with Runner.Complete -> true | _ -> false);
-            outcome;
-            obs = None;
-          });
+          Runner.measurement ~name:"cap/faa-10k" ~topology ~seed:7
+            ~threads:nthreads ~host_s ~counters:[] ~final_size:0
+            ~valid:(snd run = Runner.Complete) ~lat_classes:[||] [||] run);
     };
     (* The fleet driver end-to-end: spawn worker domains, reset each
        world, run a small batch of quick chaos trials per task. Ops =
@@ -190,38 +166,18 @@ let specs =
         (fun () ->
           let trials = 12 and batch = 3 and seed = 7 in
           let jobs = min 4 (Harness.Fleet.default_jobs ()) in
-          let host0 = Unix.gettimeofday () in
-          let failed =
-            Chaos.fleet
-              (Chaos.structure_family Chaos.quick_entries)
-              ~jobs ~trials ~batch ~seed
-              (Format.formatter_of_buffer (Buffer.create 1024))
+          let failed, host_s, _ =
+            Runner.measured (fun () ->
+                Chaos.fleet
+                  (Chaos.structure_family Chaos.quick_entries)
+                  ~jobs ~trials ~batch ~seed
+                  (Format.formatter_of_buffer (Buffer.create 1024)))
           in
-          let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
-          {
-            Runner.name = "fleet/chaos-quick";
-            topo_name = "host";
-            seed;
-            threads = jobs;
-            mops = 0.;
-            ops = trials;
-            wall_s = 0.;
-            eff_update_pct = 0.;
-            reads = 0;
-            writes = 0;
-            cas = 0;
-            cas_failed = 0;
-            faa = 0;
-            events = 0;
-            host_s;
-            lat = [||];
-            lat_classes = [||];
-            counters = [];
-            final_size = 0;
-            valid = failed = 0;
-            outcome = Runner.Complete;
-            obs = None;
-          });
+          Runner.measurement ~name:"fleet/chaos-quick"
+            ~topology:(Runner.host_clock "host") ~seed ~threads:jobs ~host_s
+            ~counters:[] ~final_size:0 ~valid:(failed = 0) ~lat_classes:[||]
+            [||]
+            (Runner.host_stats ~ops:trials 0., Runner.Complete));
     };
   ]
 
@@ -263,17 +219,19 @@ let measure ?(repeats = 3) (s : spec) =
 let run ?(repeats = 3) () = List.map (measure ~repeats) specs
 
 (* ------------------------------------------------------------------ *)
-(* JSON (line-oriented, hand-rolled)                                   *)
+(* JSON: one result object per line, read back with {!Obs.Report}      *)
+
+module J = Obs.Report
 
 let result_line r =
   Printf.sprintf
-    "  {\"name\": %S, \"threads\": %d, \"ops\": %d, \"accesses\": %d, \
+    "  {\"name\": \"%s\", \"threads\": %d, \"ops\": %d, \"accesses\": %d, \
      \"events\": %d, \"host_s\": %.6f, \"ops_per_hs\": %.1f, \
      \"accesses_per_hs\": %.1f, \"events_per_hs\": %.1f, \
-     \"words_per_op\": %.2f, \"ocaml\": %S}"
-    r.r_name r.r_threads r.r_ops r.r_accesses r.r_events r.r_host_s
+     \"words_per_op\": %.2f, \"ocaml\": \"%s\"}"
+    (J.escape r.r_name) r.r_threads r.r_ops r.r_accesses r.r_events r.r_host_s
     (ops_per_hs r) (accesses_per_hs r) (events_per_hs r) (words_per_op r)
-    r.r_ocaml
+    (J.escape r.r_ocaml)
 
 let to_json results =
   String.concat "\n"
@@ -289,39 +247,6 @@ let write_json path results =
 (* ------------------------------------------------------------------ *)
 (* Baseline comparison                                                 *)
 
-(* Scan one [result_line]-shaped line for a ["key": value] field. *)
-let field_of_line line key =
-  let pat = Printf.sprintf "\"%s\": " key in
-  let plen = String.length pat in
-  let llen = String.length line in
-  let rec find i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then
-      let j = ref (i + plen) in
-      let k = ref !j in
-      while
-        !k < llen && (match line.[!k] with ',' | '}' -> false | _ -> true)
-      do
-        incr k
-      done;
-      Some (String.trim (String.sub line !j (!k - !j)))
-    else find (i + 1)
-  in
-  find 0
-
-let string_field line key =
-  match field_of_line line key with
-  | Some v
-    when String.length v >= 2 && v.[0] = '"' && v.[String.length v - 1] = '"'
-    ->
-      Some (Scanf.unescaped (String.sub v 1 (String.length v - 2)))
-  | _ -> None
-
-let float_field line key =
-  match field_of_line line key with
-  | Some v -> float_of_string_opt v
-  | None -> None
-
 (** One row of a committed [BENCH_sim.json]. Rows written before the
     allocation columns existed have no [b_words]/[b_ocaml]. *)
 type baseline_row = {
@@ -332,13 +257,20 @@ type baseline_row = {
   b_ocaml : string option;
 }
 
+(* The rows of a baseline file; none when it does not parse. *)
 let parse_baseline content =
-  String.split_on_char '\n' content
-  |> List.filter_map (fun line ->
+  let rows =
+    match J.parse content with
+    | Ok j -> Option.bind (J.member "results" j) J.to_list
+    | Error _ -> None
+  in
+  Option.value rows ~default:[]
+  |> List.filter_map (fun row ->
+         let field k conv = Option.bind (J.member k row) conv in
          match
-           ( string_field line "name",
-             float_field line "ops_per_hs",
-             float_field line "accesses_per_hs" )
+           ( field "name" J.to_str,
+             field "ops_per_hs" J.to_number,
+             field "accesses_per_hs" J.to_number )
          with
          | Some b_name, Some b_ops, Some b_acc ->
              Some
@@ -346,8 +278,8 @@ let parse_baseline content =
                  b_name;
                  b_ops;
                  b_acc;
-                 b_words = float_field line "words_per_op";
-                 b_ocaml = string_field line "ocaml";
+                 b_words = field "words_per_op" J.to_number;
+                 b_ocaml = field "ocaml" J.to_str;
                }
          | _ -> None)
 

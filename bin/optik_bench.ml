@@ -21,9 +21,7 @@ let out = print_endline
    stdout stays byte-deterministic for a given seed (timings are the one
    thing that varies run to run). *)
 let with_host_time label ops_done f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  let dt = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
+  let r, dt, _ = Harness.Runner.measured f in
   let n = ops_done r in
   Printf.eprintf "[host] %s: %.3fs wall-clock%s\n%!" label dt
     (if n > 0 then

@@ -174,7 +174,7 @@ let fig5_point impl ~topology ~nthreads ~ops =
      count their failed trylocks, which the run report's wasted-work
      section picks up. *)
   Sim.Sim_rt.Probe.reset_all ();
-  let stats, succeeded =
+  let stats =
     match impl with
     | Ttas_version ->
         (* lock-then-validate: 4-byte TTAS + 4-byte version, validated
@@ -185,104 +185,68 @@ let fig5_point impl ~topology ~nthreads ~ops =
         let g = Sched.fresh_group () in
         let l : F5_ttas.t = Sim.Sched.loc_packed ~group:g false in
         let version = Sim.Sched.loc_packed ~group:g 0 in
-        let succ = ref 0 in
-        let st =
-          Sched.run ~topology ~nthreads ~ops_target:ops (fun _ ->
-              let b = F5_backoff.create () in
-              while not (Sched.stop_requested ()) do
-                let rec attempt () =
-                  let v = Sched.read version in
-                  Sched.work 30;
-                  F5_ttas.lock l;
-                  let ok = Sched.read version = v in
-                  if ok then (
-                    Sched.work 10;
-                    Sched.write version (v + 1));
-                  F5_ttas.unlock l;
-                  if not ok then (
-                    F5_backoff.once b;
-                    attempt ())
-                in
-                attempt ();
-                incr succ;
-                Sched.tick ()
-              done)
-        in
-        (st, !succ)
+        Sched.run ~topology ~nthreads ~ops_target:ops (fun _ ->
+            let b = F5_backoff.create () in
+            while not (Sched.stop_requested ()) do
+              let rec attempt () =
+                let v = Sched.read version in
+                Sched.work 30;
+                F5_ttas.lock l;
+                let ok = Sched.read version = v in
+                if ok then (
+                  Sched.work 10;
+                  Sched.write version (v + 1));
+                F5_ttas.unlock l;
+                if not ok then (
+                  F5_backoff.once b;
+                  attempt ())
+              in
+              attempt ();
+              Sched.tick ()
+            done)
     | Optik_versioned ->
         let l = F5_ov.create () in
-        let succ = ref 0 in
-        let st =
-          Sched.run ~topology ~nthreads ~ops_target:ops (fun _ ->
-              let b = F5_backoff.create () in
-              while not (Sched.stop_requested ()) do
-                let rec attempt () =
-                  let v = F5_ov.get_version l in
-                  Sched.work 30;
-                  if F5_ov.trylock_version l v then (
-                    Sched.work 10;
-                    F5_ov.unlock l)
-                  else (
-                    F5_backoff.once b;
-                    attempt ())
-                in
-                attempt ();
-                incr succ;
-                Sched.tick ()
-              done)
-        in
-        (st, !succ)
+        Sched.run ~topology ~nthreads ~ops_target:ops (fun _ ->
+            let b = F5_backoff.create () in
+            while not (Sched.stop_requested ()) do
+              let rec attempt () =
+                let v = F5_ov.get_version l in
+                Sched.work 30;
+                if F5_ov.trylock_version l v then (
+                  Sched.work 10;
+                  F5_ov.unlock l)
+                else (
+                  F5_backoff.once b;
+                  attempt ())
+              in
+              attempt ();
+              Sched.tick ()
+            done)
     | Optik_ticket ->
         let l = F5_ot.create () in
-        let succ = ref 0 in
-        let st =
-          Sched.run ~topology ~nthreads ~ops_target:ops (fun _ ->
-              let b = F5_backoff.create () in
-              while not (Sched.stop_requested ()) do
-                let rec attempt () =
-                  let v = F5_ot.get_version l in
-                  Sched.work 30;
-                  if F5_ot.trylock_version l v then (
-                    Sched.work 10;
-                    F5_ot.unlock l)
-                  else (
-                    F5_backoff.once b;
-                    attempt ())
-                in
-                attempt ();
-                incr succ;
-                Sched.tick ()
-              done)
-        in
-        (st, !succ)
+        Sched.run ~topology ~nthreads ~ops_target:ops (fun _ ->
+            let b = F5_backoff.create () in
+            while not (Sched.stop_requested ()) do
+              let rec attempt () =
+                let v = F5_ot.get_version l in
+                Sched.work 30;
+                if F5_ot.trylock_version l v then (
+                  Sched.work 10;
+                  F5_ot.unlock l)
+                else (
+                  F5_backoff.once b;
+                  attempt ())
+              in
+              attempt ();
+              Sched.tick ()
+            done)
   in
-  let wall_s =
-    float_of_int stats.Sched.wall_cycles /. (topology.Topology.ghz *. 1e9)
-  in
-  {
-    Runner.name = f5_name impl;
-    topo_name = topology.Topology.name;
-    seed = 0;
-    threads = nthreads;
-    mops = Sched.mops topology { stats with Sched.ops = succeeded };
-    ops = succeeded;
-    wall_s;
-    eff_update_pct = 100.;
-    reads = stats.Sched.reads;
-    writes = stats.Sched.writes;
-    cas = stats.Sched.cas;
-    cas_failed = stats.Sched.cas_failed;
-    faa = stats.Sched.faa;
-    events = stats.Sched.events;
-    host_s = 0.;
-    lat = Array.make Runner.n_classes Harness.Pstats.empty_summary;
-    lat_classes = Runner.class_names;
-    counters = Sim.Sim_rt.Probe.dump ();
-    final_size = 0;
-    valid = true;
-    outcome = Runner.Complete;
-    obs = None;
-  }
+  (* one tick per lock acquisition, and every acquisition is an update *)
+  Runner.measurement ~name:(f5_name impl) ~topology ~seed:0 ~threads:nthreads
+    ~effective:stats.Sched.ops
+    ~counters:(Sim.Sim_rt.Probe.dump ())
+    ~final_size:0 ~valid:true ~lat_classes:Runner.class_names [||]
+    (stats, Runner.Complete)
 
 let fig5 mode =
   let threads = mode.threads_of xeon in
@@ -941,28 +905,14 @@ let stack_experiment mode =
                   emit
                     (Printf.sprintf "stack/%s@t%d" S.name n)
                   {
-                    Runner.name = S.name;
-                    topo_name = xeon.Topology.name;
-                    seed = 0;
-                    threads = n;
-                    mops = Sched.mops xeon st;
-                    ops = st.Sched.ops;
-                    wall_s = 0.;
-                    eff_update_pct = 100.;
-                    reads = st.Sched.reads;
-                    writes = st.Sched.writes;
-                    cas = st.Sched.cas;
-                    cas_failed = st.Sched.cas_failed;
-                    faa = st.Sched.faa;
-                    events = st.Sched.events;
-                    host_s = 0.;
-                    lat = Array.make Runner.n_classes Harness.Pstats.empty_summary;
-                    lat_classes = Runner.queue_class_names;
-                    counters = Sim.Sim_rt.Probe.dump ();
-                    final_size = S.size t;
-                    valid = true;
-                    outcome = Runner.Complete;
-                    obs = None;
+                    (Runner.measurement ~name:S.name ~topology:xeon ~seed:0
+                       ~threads:n ~effective:st.Sched.ops
+                       ~counters:(Sim.Sim_rt.Probe.dump ())
+                       ~final_size:(S.size t) ~valid:true
+                       ~lat_classes:Runner.queue_class_names [||]
+                       (st, Runner.Complete))
+                    with
+                    Runner.wall_s = 0.;
                   } ))
               (mode.threads_of xeon);
         })

@@ -36,6 +36,9 @@ let n_classes = 6
 let class_names =
   [| "srch-suc"; "srch-fal"; "insr-suc"; "insr-fal"; "delt-suc"; "delt-fal" |]
 
+(* Queues and stacks: enqueue (push), dequeue (pop) non-empty and empty. *)
+let queue_class_names = [| "enqueue"; "dequeue-suc"; "dequeue-fal" |]
+
 (** How the measured run ended. [Aborted] carries the scheduler's stall
     report — verdict, per-thread progress, dead lock holders, partial
     stats — so fault-injection and watchdog experiments get structured
@@ -75,22 +78,128 @@ type measurement = {
 
 let aborted m = match m.outcome with Aborted _ -> true | Complete -> false
 
-let sampler w seed =
+(* --------------------------------------------------------------- *)
+(* Building a measurement                                           *)
+
+let no_stats : Sim.Sched.stats =
+  {
+    wall_cycles = 0;
+    ops = 0;
+    reads = 0;
+    writes = 0;
+    cas = 0;
+    cas_failed = 0;
+    faa = 0;
+    events = 0;
+  }
+
+(* Runs timed on the host report on a 1 GHz pseudo-machine, so one
+   cycle is one nanosecond of host time. *)
+let host_machine = Sim.Topology.uniform ~n:1 ()
+let host_clock name = { host_machine with Sim.Topology.name }
+
+let host_stats ~ops seconds =
+  {
+    no_stats with
+    wall_cycles = Float.to_int (Float.round (seconds *. 1e9));
+    ops;
+  }
+
+(* Every measurement is built here: modelled wall time, throughput, the
+   per-class latency fold and the effective-update rate are computed one
+   way. [lat] holds one collector per thread per class of [lat_classes]. *)
+let measurement ~name ~topology ~seed ~threads ?(effective = 0)
+    ?(host_s = 0.) ?trace ~counters ~final_size ~valid ~lat_classes lat
+    ((stats : Sim.Sched.stats), outcome) =
+  let ops = stats.ops in
+  {
+    name;
+    topo_name = topology.Sim.Topology.name;
+    seed;
+    threads;
+    mops = Sim.Sched.mops topology stats;
+    ops;
+    wall_s =
+      float_of_int stats.wall_cycles /. (topology.Sim.Topology.ghz *. 1e9);
+    eff_update_pct =
+      (if ops = 0 then 0.
+       else 100. *. float_of_int effective /. float_of_int ops);
+    reads = stats.reads;
+    writes = stats.writes;
+    cas = stats.cas;
+    cas_failed = stats.cas_failed;
+    faa = stats.faa;
+    events = stats.events;
+    host_s;
+    lat =
+      Array.mapi
+        (fun c _ ->
+          Pstats.summarize (Array.to_list (Array.map (fun l -> l.(c)) lat)))
+        lat_classes;
+    lat_classes;
+    counters;
+    final_size;
+    valid;
+    outcome;
+    obs = Option.map Obs.Profile.summarize trace;
+  }
+
+(* The measured window's bracket: host-times [go] and, when [record_obs],
+   records the observability journal around it. The record comes back
+   raw, for attribution and the trace exporters. The recorder is stopped
+   on escape too, so a crashed run does not leave it armed. *)
+let measured ?(record_obs = false) go =
+  let host0 = Unix.gettimeofday () in
+  if record_obs then Obs.Journal.start ();
+  let stop () = if record_obs then Some (Obs.Journal.stop ()) else None in
+  match go () with
+  | x ->
+      let trace = stop () in
+      (x, Float.max 1e-9 (Unix.gettimeofday () -. host0), trace)
+  | exception e ->
+      ignore (stop ());
+      raise e
+
+(* --------------------------------------------------------------- *)
+(* Workloads, as both loops drive them                              *)
+
+(* [l_step rng] performs one operation and returns its latency class, an
+   index into [l_classes]; [l_updates] are the classes whose operations
+   count as effective updates. *)
+type loop = {
+  l_name : string;
+  l_classes : string array;
+  l_updates : int list;
+  l_step : Rng.t -> int;
+  l_size : unit -> int;
+  l_valid : unit -> bool;
+}
+
+let sampler w =
   match w.dist with
-  | Uniform ->
-      fun rng -> 1 + Rng.below rng w.range
+  | Uniform -> fun rng -> 1 + Rng.below rng w.range
   | Zipf a ->
       let z = Zipf.create ~range:w.range ~alpha:a in
-      ignore seed;
       fun rng -> Zipf.sample z rng
 
-(* Fill the structure to [init_size] distinct keys, drawing from the
-   workload distribution (so skewed runs start with the popular keys
-   present). Runs outside any simulation: zero simulated cost. *)
-let prefill (type a) (module S : Registry.SET_OPS with type t = a) (t : a) w
-    ~seed =
+(* Operations of all threads in the classes that count as updates, from
+   per-thread per-class tallies read with [count]. *)
+let updates l count per_thread =
+  List.fold_left
+    (fun n u -> Array.fold_left (fun n t -> n + count t.(u)) n per_thread)
+    0 l.l_updates
+
+(* Create the structure and fill it to [init_size] distinct keys, drawing
+   from the workload distribution (so skewed runs start with the popular
+   keys present). Runs outside any simulation: zero simulated cost. *)
+let set_loop (module S : Registry.SET_OPS) w ~seed =
+  let t =
+    match w.capacity with
+    | Some capacity -> S.create ~capacity ()
+    | None -> S.create ()
+  in
   let rng = Rng.create (seed + 7919) in
-  let sample = sampler w seed in
+  let sample = sampler w in
   let n = ref 0 in
   let attempts = ref 0 in
   while !n < w.init_size && !attempts < w.init_size * 1000 do
@@ -101,23 +210,48 @@ let prefill (type a) (module S : Registry.SET_OPS with type t = a) (t : a) w
   if !n < w.init_size then
     failwith
       (Printf.sprintf "prefill: only %d/%d keys inserted (capacity?)" !n
-         w.init_size)
+         w.init_size);
+  let upd_half = w.update_pct / 2 in
+  let upd_total = w.update_pct in
+  {
+    l_name = S.name;
+    l_classes = class_names;
+    l_updates = [ 2; 4 ];
+    l_step =
+      (fun rng ->
+        let key = sample rng in
+        let p = Rng.below rng 100 in
+        if p < upd_half then if S.insert t key key then 2 else 3
+        else if p < upd_total then
+          match S.delete t key with Some _ -> 4 | None -> 5
+        else match S.search t key with Some _ -> 0 | None -> 1);
+    l_size = (fun () -> S.size t);
+    l_valid = (fun () -> S.validate t);
+  }
 
-(* One benchmark iteration; returns the latency class. *)
-let one_op (type a) (module S : Registry.SET_OPS with type t = a) (t : a) rng
-    sample upd_half upd_total =
-  let key = sample rng in
-  let p = Rng.below rng 100 in
-  if p < upd_half then if S.insert t key key then 2 else 3
-  else if p < upd_total then
-    match S.delete t key with Some _ -> 4 | None -> 5
-  else
-    match S.search t key with Some _ -> 0 | None -> 1
+(* Queues and stacks: [add_pct] percent of operations add a random value,
+   the rest remove one. Every operation counts as an update. *)
+let pool_loop ~name ~init ~seed ~add_pct ~add ~remove ~size =
+  let rng0 = Rng.create (seed + 13) in
+  for _ = 1 to init do
+    add (Rng.below rng0 1_000_000)
+  done;
+  {
+    l_name = name;
+    l_classes = queue_class_names;
+    l_updates = [ 0; 1; 2 ];
+    l_step =
+      (fun rng ->
+        if Rng.below rng 100 < add_pct then (
+          add (Rng.below rng 1_000_000);
+          0)
+        else match remove () with Some _ -> 1 | None -> 2);
+    l_size = size;
+    l_valid = (fun () -> true);
+  }
 
 (* --------------------------------------------------------------- *)
 (* Simulator runner                                                 *)
-
-let collect_sim_counters () = Sim.Sim_rt.Probe.dump ()
 
 (* Per-operation latency in cycles, as a probe histogram: shows up in
    --trace exports as samples and in counter dumps via [buckets]. *)
@@ -130,17 +264,7 @@ let synthetic_report reason : Sim.Sched.report =
   {
     Sim.Sched.r_verdict = Sim.Sched.Progress;
     r_reason = reason;
-    r_stats =
-      {
-        Sim.Sched.wall_cycles = 0;
-        ops = 0;
-        reads = 0;
-        writes = 0;
-        cas = 0;
-        cas_failed = 0;
-        faa = 0;
-        events = 0;
-      };
+    r_stats = no_stats;
     r_threads = [];
     r_dead_holders = [];
     r_waiters = [];
@@ -151,7 +275,7 @@ let synthetic_report reason : Sim.Sched.report =
    verdicts and budget exhaustion become [Aborted] with partial stats,
    never an escaped exception. [faults] installs a fault plan for the
    duration of the run. *)
-let run_sim_guarded ?faults ?watchdog ?max_events ?quantum ?read_slack
+let run_guarded ?faults ?watchdog ?max_events ?quantum ?read_slack
     ?max_inline_ops ~topology ~nthreads ~ops_target body :
     Sim.Sched.stats * outcome =
   let go () =
@@ -174,235 +298,71 @@ let run_sim_guarded ?faults ?watchdog ?max_events ?quantum ?read_slack
       in
       (r.Sim.Sched.r_stats, Aborted r)
 
-let run_guarded = run_sim_guarded
-
-(* Wrap a guarded run in an observability recording when requested; the
-   journal summary rides back alongside the stats. [run_sim_guarded]
-   never raises, but stop the recorder on escape anyway so a crashed
-   harness doesn't leave it armed for the next run. *)
-let with_obs record_obs go =
-  if not record_obs then
-    let stats, outcome = go () in
-    (stats, outcome, None)
-  else (
-    Obs.Journal.start ();
-    match go () with
-    | stats, outcome ->
-        let r = Obs.Journal.stop () in
-        (stats, outcome, Some (Obs.Profile.summarize r))
-    | exception e ->
-        ignore (Obs.Journal.stop ());
-        raise e)
-
-let run_set_sim ~topology ~nthreads ~ops ?(seed = 42) ?faults ?watchdog
-    ?max_events ?(record_obs = false) (module S : Registry.SET_OPS)
-    (w : set_workload) : measurement =
-  let t =
-    match w.capacity with
-    | Some capacity -> S.create ~capacity ()
-    | None -> S.create ()
-  in
-  prefill (module S) t w ~seed;
+(* The one simulated workload loop: each thread draws and runs an
+   operation, records its latency in its per-class buffer, and waits a
+   short moment (avoids long runs, §5). *)
+let run_sim ~topology ~nthreads ~ops ~seed ?faults ?watchdog ?max_events
+    ~record_obs l =
   (* reset after prefill so counters reflect only the measured window *)
   Sim.Sim_rt.Probe.reset_all ();
-  let upd_half = w.update_pct / 2 in
-  let upd_total = w.update_pct in
-  let sample = sampler w seed in
-  let lat = Array.init nthreads (fun _ -> Array.init n_classes (fun _ -> Pstats.create ())) in
-  let effective = Array.make nthreads 0 in
-  let myops = Array.make nthreads 0 in
-  let host0 = Unix.gettimeofday () in
-  let stats, outcome, obs =
-    with_obs record_obs (fun () ->
-        run_sim_guarded ?faults ?watchdog ?max_events ~topology ~nthreads
+  let lat =
+    Array.init nthreads (fun _ ->
+        Array.map (fun _ -> Pstats.create ()) l.l_classes)
+  in
+  let run, host_s, trace =
+    measured ~record_obs (fun () ->
+        run_guarded ?faults ?watchdog ?max_events ~topology ~nthreads
           ~ops_target:ops (fun tid ->
             let rng = Rng.create ((seed * 65_599) + tid) in
             while not (Sim.Sched.stop_requested ()) do
               let t0 = Sim.Sched.now () in
-              let cls = one_op (module S) t rng sample upd_half upd_total in
+              let cls = l.l_step rng in
               let t1 = Sim.Sched.now () in
               Pstats.record lat.(tid).(cls) (t1 - t0);
               Sim.Sim_rt.Probe.observe op_cycles (t1 - t0);
-              if cls = 2 || cls = 4 then effective.(tid) <- effective.(tid) + 1;
-              myops.(tid) <- myops.(tid) + 1;
               Sim.Sched.tick ();
-              (* Short wait between iterations (avoids long runs, §5). *)
               Sim.Sched.work (64 + Rng.below rng 64)
             done))
   in
-  let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
-  let total_ops = Array.fold_left ( + ) 0 myops in
-  let total_eff = Array.fold_left ( + ) 0 effective in
-  let wall_s =
-    float_of_int stats.wall_cycles /. (topology.Sim.Topology.ghz *. 1e9)
-  in
-  {
-    name = S.name;
-    topo_name = topology.Sim.Topology.name;
-    seed;
-    threads = nthreads;
-    mops = Sim.Sched.mops topology stats;
-    ops = total_ops;
-    wall_s;
-    eff_update_pct =
-      (if total_ops = 0 then 0.
-       else 100. *. float_of_int total_eff /. float_of_int total_ops);
-    reads = stats.reads;
-    writes = stats.writes;
-    cas = stats.cas;
-    cas_failed = stats.cas_failed;
-    faa = stats.faa;
-    events = stats.events;
-    host_s;
-    lat =
-      Array.init n_classes (fun c ->
-          Pstats.summarize (Array.to_list (Array.map (fun l -> l.(c)) lat)));
-    lat_classes = class_names;
-    counters = collect_sim_counters ();
-    final_size = S.size t;
-    valid = S.validate t;
-    outcome;
-    obs;
-  }
+  let valid = l.l_valid () in
+  let final_size = l.l_size () in
+  measurement ~name:l.l_name ~topology ~seed ~threads:nthreads
+    ~effective:(updates l Pstats.count lat)
+    ~host_s ?trace ~counters:(Sim.Sim_rt.Probe.dump ()) ~final_size ~valid
+    ~lat_classes:l.l_classes lat run
+
+let run_set_sim ~topology ~nthreads ~ops ?(seed = 42) ?faults ?watchdog
+    ?max_events ?(record_obs = false) set w =
+  run_sim ~topology ~nthreads ~ops ~seed ?faults ?watchdog ?max_events
+    ~record_obs (set_loop set w ~seed)
 
 (* Queue workloads (Figure 12): enqueue percentage picks between
    decreasing (40), stable (50) and increasing (60) size. *)
 
 let queue_init_size = 65_536
 
-type queue_measurement = measurement
-(* classes: 0 = enqueue, 1 = dequeue-nonempty, 2 = dequeue-empty *)
-
-let queue_class_names = [| "enqueue"; "dequeue-suc"; "dequeue-fal" |]
-
 let run_queue_sim ~topology ~nthreads ~ops ?(seed = 42) ?(init = queue_init_size)
     ?faults ?watchdog ?max_events ?(record_obs = false) ~enqueue_pct
-    (module Qu : Registry.QUEUE_OPS) : queue_measurement =
+    (module Qu : Registry.QUEUE_OPS) =
   let q = Qu.create () in
-  let rng0 = Rng.create (seed + 13) in
-  for _ = 1 to init do
-    Qu.enqueue q (Rng.below rng0 1_000_000)
-  done;
-  Sim.Sim_rt.Probe.reset_all ();
-  let lat = Array.init nthreads (fun _ -> Array.init 3 (fun _ -> Pstats.create ())) in
-  let myops = Array.make nthreads 0 in
-  let host0 = Unix.gettimeofday () in
-  let stats, outcome, obs =
-    with_obs record_obs (fun () ->
-        run_sim_guarded ?faults ?watchdog ?max_events ~topology ~nthreads
-          ~ops_target:ops (fun tid ->
-            let rng = Rng.create ((seed * 65_599) + tid) in
-            while not (Sim.Sched.stop_requested ()) do
-              let t0 = Sim.Sched.now () in
-              let cls =
-                if Rng.below rng 100 < enqueue_pct then (
-                  Qu.enqueue q (Rng.below rng 1_000_000);
-                  0)
-                else match Qu.dequeue q with Some _ -> 1 | None -> 2
-              in
-              let t1 = Sim.Sched.now () in
-              Pstats.record lat.(tid).(cls) (t1 - t0);
-              Sim.Sim_rt.Probe.observe op_cycles (t1 - t0);
-              myops.(tid) <- myops.(tid) + 1;
-              Sim.Sched.tick ();
-              Sim.Sched.work (64 + Rng.below rng 64)
-            done))
-  in
-  let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
-  let total_ops = Array.fold_left ( + ) 0 myops in
-  {
-    name = Qu.name;
-    topo_name = topology.Sim.Topology.name;
-    seed;
-    threads = nthreads;
-    mops = Sim.Sched.mops topology stats;
-    ops = total_ops;
-    wall_s =
-      float_of_int stats.wall_cycles /. (topology.Sim.Topology.ghz *. 1e9);
-    eff_update_pct = 100.;
-    reads = stats.reads;
-    writes = stats.writes;
-    cas = stats.cas;
-    cas_failed = stats.cas_failed;
-    faa = stats.faa;
-    events = stats.events;
-    host_s;
-    lat =
-      Array.init 3 (fun c ->
-          Pstats.summarize (Array.to_list (Array.map (fun l -> l.(c)) lat)));
-    lat_classes = queue_class_names;
-    counters = collect_sim_counters ();
-    final_size = Qu.size q;
-    valid = true;
-    outcome;
-    obs;
-  }
+  run_sim ~topology ~nthreads ~ops ~seed ?faults ?watchdog ?max_events
+    ~record_obs
+    (pool_loop ~name:Qu.name ~init ~seed ~add_pct:enqueue_pct
+       ~add:(Qu.enqueue q)
+       ~remove:(fun () -> Qu.dequeue q)
+       ~size:(fun () -> Qu.size q))
 
 (* Stack workloads (§5.5): push percentage plays the role enqueue_pct
-   plays for queues. Latency classes: 0 = push, 1 = pop-nonempty,
-   2 = pop-empty. *)
+   plays for queues. *)
 let run_stack_sim ~topology ~nthreads ~ops ?(seed = 42) ?(init = 4096)
     ?faults ?watchdog ?max_events ?(record_obs = false) ~push_pct
-    (module St : Registry.STACK_OPS) : measurement =
+    (module St : Registry.STACK_OPS) =
   let st = St.create () in
-  let rng0 = Rng.create (seed + 13) in
-  for _ = 1 to init do
-    St.push st (Rng.below rng0 1_000_000)
-  done;
-  Sim.Sim_rt.Probe.reset_all ();
-  let lat = Array.init nthreads (fun _ -> Array.init 3 (fun _ -> Pstats.create ())) in
-  let myops = Array.make nthreads 0 in
-  let host0 = Unix.gettimeofday () in
-  let stats, outcome, obs =
-    with_obs record_obs (fun () ->
-        run_sim_guarded ?faults ?watchdog ?max_events ~topology ~nthreads
-          ~ops_target:ops (fun tid ->
-            let rng = Rng.create ((seed * 65_599) + tid) in
-            while not (Sim.Sched.stop_requested ()) do
-              let t0 = Sim.Sched.now () in
-              let cls =
-                if Rng.below rng 100 < push_pct then (
-                  St.push st (Rng.below rng 1_000_000);
-                  0)
-                else match St.pop st with Some _ -> 1 | None -> 2
-              in
-              let t1 = Sim.Sched.now () in
-              Pstats.record lat.(tid).(cls) (t1 - t0);
-              Sim.Sim_rt.Probe.observe op_cycles (t1 - t0);
-              myops.(tid) <- myops.(tid) + 1;
-              Sim.Sched.tick ();
-              Sim.Sched.work (64 + Rng.below rng 64)
-            done))
-  in
-  let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
-  let total_ops = Array.fold_left ( + ) 0 myops in
-  {
-    name = St.name;
-    topo_name = topology.Sim.Topology.name;
-    seed;
-    threads = nthreads;
-    mops = Sim.Sched.mops topology stats;
-    ops = total_ops;
-    wall_s =
-      float_of_int stats.wall_cycles /. (topology.Sim.Topology.ghz *. 1e9);
-    eff_update_pct = 100.;
-    reads = stats.reads;
-    writes = stats.writes;
-    cas = stats.cas;
-    cas_failed = stats.cas_failed;
-    faa = stats.faa;
-    events = stats.events;
-    host_s;
-    lat =
-      Array.init 3 (fun c ->
-          Pstats.summarize (Array.to_list (Array.map (fun l -> l.(c)) lat)));
-    lat_classes = queue_class_names;
-    counters = collect_sim_counters ();
-    final_size = St.size st;
-    valid = true;
-    outcome;
-    obs;
-  }
+  run_sim ~topology ~nthreads ~ops ~seed ?faults ?watchdog ?max_events
+    ~record_obs
+    (pool_loop ~name:St.name ~init ~seed ~add_pct:push_pct ~add:(St.push st)
+       ~remove:(fun () -> St.pop st)
+       ~size:(fun () -> St.size st))
 
 (* --------------------------------------------------------------- *)
 (* Native runner (real domains)                                     *)
@@ -422,18 +382,13 @@ let barrier n =
         Domain.cpu_relax ()
       done
 
-let run_set_native ~nthreads ~ops_per_thread ?(seed = 42)
-    (module S : Registry.SET_OPS) (w : set_workload) : measurement =
-  let t =
-    match w.capacity with
-    | Some capacity -> S.create ~capacity ()
-    | None -> S.create ()
+(* The one native loop: [ops_per_thread] operations per domain between
+   two barriers, timed by domain 0. Latencies are not recorded; each
+   domain only tallies its operations per class. *)
+let run_native ~nthreads ~ops_per_thread ~seed l =
+  let counts =
+    Array.init nthreads (fun _ -> Array.make (Array.length l.l_classes) 0)
   in
-  prefill (module S) t w ~seed;
-  let upd_half = w.update_pct / 2 in
-  let upd_total = w.update_pct in
-  let sample = sampler w seed in
-  let effective = Array.make nthreads 0 in
   Rt.Native_rt.set_nthreads nthreads;
   let bar = barrier nthreads in
   let t_start = ref 0. in
@@ -441,11 +396,12 @@ let run_set_native ~nthreads ~ops_per_thread ?(seed = 42)
   let body tid () =
     Rt.Native_rt.set_tid tid;
     let rng = Rng.create ((seed * 65_599) + tid) in
+    let counts = counts.(tid) in
     bar ();
     if tid = 0 then t_start := Unix.gettimeofday ();
     for _ = 1 to ops_per_thread do
-      let cls = one_op (module S) t rng sample upd_half upd_total in
-      if cls = 2 || cls = 4 then effective.(tid) <- effective.(tid) + 1
+      let cls = l.l_step rng in
+      counts.(cls) <- counts.(cls) + 1
     done;
     bar ();
     if tid = 0 then t_stop := Unix.gettimeofday ()
@@ -456,89 +412,20 @@ let run_set_native ~nthreads ~ops_per_thread ?(seed = 42)
   body 0 ();
   List.iter Domain.join domains;
   Rt.Native_rt.set_nthreads 1;
-  let total_ops = nthreads * ops_per_thread in
-  let wall_s = Float.max 1e-9 (!t_stop -. !t_start) in
-  {
-    name = S.name;
-    topo_name = "native";
-    seed;
-    threads = nthreads;
-    mops = float_of_int total_ops /. wall_s /. 1e6;
-    ops = total_ops;
-    wall_s;
-    eff_update_pct =
-      100.
-      *. float_of_int (Array.fold_left ( + ) 0 effective)
-      /. float_of_int total_ops;
-    reads = 0;
-    writes = 0;
-    cas = 0;
-    cas_failed = 0;
-    faa = 0;
-    events = 0;
-    host_s = wall_s;
-    lat = Array.make n_classes Pstats.empty_summary;
-    lat_classes = class_names;
-    counters = [];
-    final_size = S.size t;
-    valid = S.validate t;
-    outcome = Complete;
-    obs = None;
-  }
+  let stats =
+    host_stats ~ops:(nthreads * ops_per_thread)
+      (Float.max 1e-9 (!t_stop -. !t_start))
+  in
+  let valid = l.l_valid () in
+  let final_size = l.l_size () in
+  let m =
+    measurement ~name:l.l_name ~topology:(host_clock "native") ~seed
+      ~threads:nthreads ~effective:(updates l Fun.id counts) ~counters:[]
+      ~final_size ~valid
+      ~lat_classes:l.l_classes [||] (stats, Complete)
+  in
+  (* a native run's host time is its wall time *)
+  { m with host_s = m.wall_s }
 
-let run_queue_native ~nthreads ~ops_per_thread ?(seed = 42) ?(init = 4096)
-    ~enqueue_pct (module Qu : Registry.QUEUE_OPS) : measurement =
-  let q = Qu.create () in
-  let rng0 = Rng.create (seed + 13) in
-  for _ = 1 to init do
-    Qu.enqueue q (Rng.below rng0 1_000_000)
-  done;
-  Rt.Native_rt.set_nthreads nthreads;
-  let bar = barrier nthreads in
-  let t_start = ref 0. in
-  let t_stop = ref 0. in
-  let body tid () =
-    Rt.Native_rt.set_tid tid;
-    let rng = Rng.create ((seed * 65_599) + tid) in
-    bar ();
-    if tid = 0 then t_start := Unix.gettimeofday ();
-    for _ = 1 to ops_per_thread do
-      if Rng.below rng 100 < enqueue_pct then
-        Qu.enqueue q (Rng.below rng 1_000_000)
-      else ignore (Qu.dequeue q : int option)
-    done;
-    bar ();
-    if tid = 0 then t_stop := Unix.gettimeofday ()
-  in
-  let domains =
-    List.init (nthreads - 1) (fun i -> Domain.spawn (body (i + 1)))
-  in
-  body 0 ();
-  List.iter Domain.join domains;
-  Rt.Native_rt.set_nthreads 1;
-  let total_ops = nthreads * ops_per_thread in
-  let wall_s = Float.max 1e-9 (!t_stop -. !t_start) in
-  {
-    name = Qu.name;
-    topo_name = "native";
-    seed;
-    threads = nthreads;
-    mops = float_of_int total_ops /. wall_s /. 1e6;
-    ops = total_ops;
-    wall_s;
-    eff_update_pct = 100.;
-    reads = 0;
-    writes = 0;
-    cas = 0;
-    cas_failed = 0;
-    faa = 0;
-    events = 0;
-    host_s = wall_s;
-    lat = Array.make n_classes Pstats.empty_summary;
-    lat_classes = queue_class_names;
-    counters = [];
-    final_size = Qu.size q;
-    valid = true;
-    outcome = Complete;
-    obs = None;
-  }
+let run_set_native ~nthreads ~ops_per_thread ?(seed = 42) set w =
+  run_native ~nthreads ~ops_per_thread ~seed (set_loop set w ~seed)

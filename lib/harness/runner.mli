@@ -80,9 +80,47 @@ type measurement = {
           reports *)
 }
 
-type queue_measurement = measurement
-
 val aborted : measurement -> bool
+
+val measurement :
+  name:string ->
+  topology:Sim.Topology.t ->
+  seed:int ->
+  threads:int ->
+  ?effective:int ->
+  ?host_s:float ->
+  ?trace:Obs.Journal.record ->
+  counters:(string * int) list ->
+  final_size:int ->
+  valid:bool ->
+  lat_classes:string array ->
+  Pstats.t array array ->
+  Sim.Sched.stats * outcome ->
+  measurement
+(** The one place a measurement is built, from a run's stats and outcome
+    on [topology]: [ops] are the ticks the stats counted, [wall_s] their
+    cycles at the topology's clock, [mops] the one over the other; [lat]
+    summarizes the per-thread collectors ([lat.(tid).(c)] for each class
+    [c] of [lat_classes], so it has one summary per class), and
+    [eff_update_pct] is [effective] over [ops] ([0] when [ops = 0]).
+    [effective] defaults to [0] and [host_s] to [0.]; [obs] is the
+    summary of [trace]. A caller whose run differs overrides fields with
+    [{ m with ... }]. *)
+
+val measured :
+  ?record_obs:bool -> (unit -> 'a) -> 'a * float * Obs.Journal.record option
+(** The measured window's bracket: [measured ~record_obs go] runs [go],
+    returning its result, the host seconds it took and, when
+    [record_obs], the raw observability journal recorded around it
+    (summarized by {!measurement}, kept whole for attribution). *)
+
+val host_clock : string -> Sim.Topology.t
+(** A 1 GHz pseudo-machine with the given name, for runs timed on the
+    host rather than simulated: one cycle is one nanosecond. *)
+
+val host_stats : ops:int -> float -> Sim.Sched.stats
+(** [host_stats ~ops seconds]: [ops] operations in [seconds] of host
+    time, as cycles of {!host_clock}, with no simulated accesses. *)
 
 val run_guarded :
   ?faults:Sim.Fault.plan ->
@@ -99,12 +137,15 @@ val run_guarded :
 (** A bare guarded simulation run: execute [body tid] under an optional
     fault plan, turning watchdog verdicts and budget exhaustion into
     [Aborted] with partial stats — never an escaped exception. The
-    building block under the [run_*_sim] runners; the chaos engine uses
-    it directly with its own workloads and oracles. *)
+    building block under the simulated runner; the chaos engine, the KV
+    service and the transaction workload use it directly with their own
+    workloads and oracles. *)
 
 (** {1 Simulator runners}
 
-    Deterministic: identical arguments (including [seed]) give identical
+    One workload loop under three wrappers: each thread draws an
+    operation, runs it, records its latency in a per-class buffer, and
+    waits a short moment. Deterministic: identical arguments (including [seed]) give identical
     measurements. [record_obs] additionally records the observability
     journal — probe events, checkpoint stream, per-line contention —
     into {!measurement.obs}; recording never perturbs the virtual clock,
@@ -135,7 +176,7 @@ val run_queue_sim :
   ?record_obs:bool ->
   enqueue_pct:int ->
   (module Registry.QUEUE_OPS) ->
-  queue_measurement
+  measurement
 (** Queue workloads (Figure 12): [enqueue_pct] picks between decreasing
     (40), stable (50) and increasing (60) queue size. *)
 
@@ -155,10 +196,11 @@ val run_stack_sim :
 (** Stack workloads (§5.5): [push_pct] plays the role [enqueue_pct]
     plays for queues. *)
 
-(** {1 Native runners (real domains)}
+(** {1 Native runner (real domains)}
 
     Wall-clock timed, so not deterministic; coherence statistics and
-    latency classes are unavailable ([0] / empty). *)
+    latency classes are unavailable ([0] / empty). The measurement's
+    topology is [host_clock "native"]. *)
 
 val run_set_native :
   nthreads:int ->
@@ -166,13 +208,4 @@ val run_set_native :
   ?seed:int ->
   (module Registry.SET_OPS) ->
   set_workload ->
-  measurement
-
-val run_queue_native :
-  nthreads:int ->
-  ops_per_thread:int ->
-  ?seed:int ->
-  ?init:int ->
-  enqueue_pct:int ->
-  (module Registry.QUEUE_OPS) ->
   measurement

@@ -1269,7 +1269,6 @@ let run ?(record_obs = false) (cfg : config) :
         Array.init (Array.length classes) (fun _ ->
             Harness.Pstats.create ()))
   in
-  let host0 = Unix.gettimeofday () in
   (* Always install a plan — an empty one when none was given — so the
      fault engine's shard tables are reset per run instead of leaking a
      previous run's crash epochs into this one's refresh/quiesce. *)
@@ -1282,20 +1281,14 @@ let run ?(record_obs = false) (cfg : config) :
      so post-run repair probes don't pollute the trace. The record comes
      back raw (in [res_trace]) because attribution and the timeline need
      the entries, not just a profile summary. *)
-  if record_obs then Obs.Journal.start ();
-  let stats, outcome =
-    Harness.Runner.run_guarded ~faults ~topology:cfg.topo
-      ~nthreads:cfg.threads ~ops_target:cfg.ops
-      (fun tid -> client t lat.(tid) tid)
+  let run, host_s, trace =
+    Harness.Runner.measured ~record_obs (fun () ->
+        Harness.Runner.run_guarded ~faults ~topology:cfg.topo
+          ~nthreads:cfg.threads ~ops_target:cfg.ops
+          (fun tid -> client t lat.(tid) tid))
   in
-  let trace = if record_obs then Some (Obs.Journal.stop ()) else None in
-  let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
   quiesce t;
   let oracle = check_oracle t in
-  let wall_s =
-    float_of_int stats.Sim.Sched.wall_cycles
-    /. (cfg.topo.Sim.Topology.ghz *. 1e9)
-  in
   let final_size =
     Array.fold_left
       (fun a sh -> a + store_size sh.primary.n_store + store_size sh.replica.n_store)
@@ -1306,41 +1299,24 @@ let run ?(record_obs = false) (cfg : config) :
       (fun sh -> store_valid sh.primary.n_store && store_valid sh.replica.n_store)
       t.shards
   in
-  let m : Harness.Runner.measurement =
+  let m =
+    Harness.Runner.measurement ~name:("kv/" ^ cfg.rep) ~topology:cfg.topo
+      ~seed:cfg.seed ~threads:cfg.threads ~effective:(Probe.count t.k_acked)
+      ~host_s ?trace ~counters:(Probe.dump ()) ~final_size ~valid
+      ~lat_classes:classes lat run
+  in
+  (* the resync class is recorded service-side (the copier runs inside
+     refresh), not per client thread *)
+  let m =
     {
-      name = "kv/" ^ cfg.rep;
-      topo_name = cfg.topo.Sim.Topology.name;
-      seed = cfg.seed;
-      threads = cfg.threads;
-      mops = Sim.Sched.mops cfg.topo stats;
-      ops = stats.Sim.Sched.ops;
-      wall_s;
-      eff_update_pct =
-        100.
-        *. float_of_int (Probe.count t.k_acked)
-        /. float_of_int (max 1 stats.Sim.Sched.ops);
-      reads = stats.Sim.Sched.reads;
-      writes = stats.Sim.Sched.writes;
-      cas = stats.Sim.Sched.cas;
-      cas_failed = stats.Sim.Sched.cas_failed;
-      faa = stats.Sim.Sched.faa;
-      events = stats.Sim.Sched.events;
-      host_s;
-      lat =
-        Array.init (Array.length classes) (fun c ->
-            (* the resync class is recorded service-side (the copier
-               runs inside refresh), not per client thread *)
+      m with
+      Harness.Runner.lat =
+        Array.mapi
+          (fun c s ->
             if classes.(c) = "resync" then
               Harness.Pstats.summarize [ t.resync_lat ]
-            else
-              Harness.Pstats.summarize
-                (Array.to_list (Array.map (fun l -> l.(c)) lat)));
-      lat_classes = classes;
-      counters = Probe.dump ();
-      final_size;
-      valid;
-      outcome;
-      obs = Option.map Obs.Profile.summarize trace;
+            else s)
+          m.Harness.Runner.lat;
     }
   in
   let result =

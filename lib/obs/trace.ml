@@ -8,21 +8,6 @@
     scale is meaningless in a simulation, ordering and durations are
     what matters. *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* ------------------------------------------------------------------ *)
 (* JSONL: one journal entry per line                                   *)
 
@@ -31,29 +16,29 @@ let jsonl_entry b (e : Journal.entry) =
   (match e.kind with
   | Journal.Count (name, n) ->
       common "count";
-      Printf.bprintf b ",\"name\":\"%s\",\"v\":%d" (escape name) n
+      Printf.bprintf b ",\"name\":\"%s\",\"v\":%d" (Report.escape name) n
   | Journal.Sample (name, v) ->
       common "sample";
-      Printf.bprintf b ",\"name\":\"%s\",\"v\":%d" (escape name) v
+      Printf.bprintf b ",\"name\":\"%s\",\"v\":%d" (Report.escape name) v
   | Journal.Instant (name, arg) ->
       common "event";
-      Printf.bprintf b ",\"name\":\"%s\"" (escape name);
+      Printf.bprintf b ",\"name\":\"%s\"" (Report.escape name);
       (match arg with None -> () | Some v -> Printf.bprintf b ",\"v\":%d" v)
   | Journal.Span_begin name ->
       common "begin";
-      Printf.bprintf b ",\"name\":\"%s\"" (escape name)
+      Printf.bprintf b ",\"name\":\"%s\"" (Report.escape name)
   | Journal.Span_end name ->
       common "end";
-      Printf.bprintf b ",\"name\":\"%s\"" (escape name)
+      Printf.bprintf b ",\"name\":\"%s\"" (Report.escape name)
   | Journal.Point p ->
       common "point";
       Printf.bprintf b ",\"name\":\"%s\"" (Journal.point_name p)
   | Journal.Req_begin (kind, id) ->
       common "req-begin";
-      Printf.bprintf b ",\"name\":\"%s\",\"trace\":%d" (escape kind) id
+      Printf.bprintf b ",\"name\":\"%s\",\"trace\":%d" (Report.escape kind) id
   | Journal.Req_end (cls, id) ->
       common "req-end";
-      Printf.bprintf b ",\"name\":\"%s\",\"trace\":%d" (escape cls) id);
+      Printf.bprintf b ",\"name\":\"%s\",\"trace\":%d" (Report.escape cls) id);
   Buffer.add_string b "}\n"
 
 let to_jsonl (r : Journal.record) =
@@ -81,7 +66,7 @@ let chrome_event b ~first ~name ~ph ~ts ~tid ?args () =
   if not !first then Buffer.add_string b ",\n";
   first := false;
   Printf.bprintf b "{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%d,\"pid\":0,\"tid\":%d"
-    (escape name) ph ts tid;
+    (Report.escape name) ph ts tid;
   (match args with
   | None -> ()
   | Some a -> Printf.bprintf b ",\"args\":%s" a);

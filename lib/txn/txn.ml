@@ -696,56 +696,25 @@ module Workload = struct
           Array.init (Array.length lat_classes) (fun _ ->
               Harness.Pstats.create ()))
     in
-    let host0 = Unix.gettimeofday () in
     (* Recording brackets the measured run only; the record comes back
        raw (in [res_trace]) for attribution and the trace exporters. *)
-    if record_obs then Obs.Journal.start ();
-    let stats, outcome =
-      Harness.Runner.run_guarded
-        ~faults:(Sim.Fault.plan ~seed:cfg.seed [])
-        ~topology:cfg.topo ~nthreads:cfg.threads ~ops_target:cfg.ops
-        (fun tid -> client cfg objs mgr log lat.(tid) tid)
+    let run, host_s, trace =
+      Harness.Runner.measured ~record_obs (fun () ->
+          Harness.Runner.run_guarded
+            ~faults:(Sim.Fault.plan ~seed:cfg.seed [])
+            ~topology:cfg.topo ~nthreads:cfg.threads ~ops_target:cfg.ops
+            (fun tid -> client cfg objs mgr log lat.(tid) tid))
     in
-    let trace = if record_obs then Some (Obs.Journal.stop ()) else None in
-    let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
     let oracle =
       check_serializable cfg (Harness.History.Log.all log) objs
     in
-    let wall_s =
-      float_of_int stats.Sim.Sched.wall_cycles
-      /. (cfg.topo.Sim.Topology.ghz *. 1e9)
-    in
     let commits = Probe.count mgr.T.c_commits in
-    let m : Harness.Runner.measurement =
-      {
-        name = "txn/" ^ cfg.rep;
-        topo_name = cfg.topo.Sim.Topology.name;
-        seed = cfg.seed;
-        threads = cfg.threads;
-        mops = Sim.Sched.mops cfg.topo stats;
-        ops = stats.Sim.Sched.ops;
-        wall_s;
-        eff_update_pct =
-          100. *. float_of_int commits
-          /. float_of_int (max 1 stats.Sim.Sched.ops);
-        reads = stats.Sim.Sched.reads;
-        writes = stats.Sim.Sched.writes;
-        cas = stats.Sim.Sched.cas;
-        cas_failed = stats.Sim.Sched.cas_failed;
-        faa = stats.Sim.Sched.faa;
-        events = stats.Sim.Sched.events;
-        host_s;
-        lat =
-          Array.init (Array.length lat_classes) (fun c ->
-              Harness.Pstats.summarize
-                (Array.to_list (Array.map (fun l -> l.(c)) lat)));
-        lat_classes;
-        counters = Probe.dump ();
-        final_size = Array.fold_left (fun a ob -> a + T.obj_size ob) 0 objs;
-        valid = Array.for_all T.obj_validate objs;
-        outcome;
-        obs = Option.map Obs.Profile.summarize trace;
-      }
+    let valid = Array.for_all T.obj_validate objs in
+    let final_size = Array.fold_left (fun a ob -> a + T.obj_size ob) 0 objs in
+    let m =
+      Harness.Runner.measurement ~name:("txn/" ^ cfg.rep) ~topology:cfg.topo
+        ~seed:cfg.seed ~threads:cfg.threads ~effective:commits ~host_s ?trace
+        ~counters:(Probe.dump ()) ~final_size ~valid ~lat_classes lat run
     in
     let result =
       {

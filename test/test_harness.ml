@@ -194,14 +194,18 @@ let test_native_runner_works () =
     Harness.Registry.Native.ll_harris
   in
   let w = Harness.Runner.uniform_workload ~init_size:32 ~update_pct:20 () in
-  let m =
-    Harness.Runner.run_set_native ~nthreads:2 ~ops_per_thread:2_000
-      (module S)
-      w
+  let run ops_per_thread =
+    Harness.Runner.run_set_native ~nthreads:2 ~ops_per_thread (module S) w
   in
+  let m = run 2_000 in
   Alcotest.(check bool) "valid" true m.Harness.Runner.valid;
   Alcotest.(check int) "ops" 4_000 m.Harness.Runner.ops;
-  Alcotest.(check bool) "throughput positive" true (m.Harness.Runner.mops > 0.)
+  Alcotest.(check bool) "throughput positive" true (m.Harness.Runner.mops > 0.);
+  (* no operations: an effective-update rate of 0, not 0/0 *)
+  let m = run 0 in
+  Alcotest.(check int) "no ops" 0 m.Harness.Runner.ops;
+  Alcotest.(check (float 0.)) "no effective updates" 0.
+    m.Harness.Runner.eff_update_pct
 
 let test_queue_runner () =
   let (module Q : Harness.Registry.QUEUE_OPS) =

@@ -457,7 +457,23 @@ let test_hostperf_words_gate () =
   Alcotest.check pair "3% more words fails" ([ "words_per_op" ], [])
     (metrics (check ~base:40_000. 41_200.));
   Alcotest.check pair "another OCaml skips the words gate" ([], [ "row" ])
-    (metrics (check ~ocaml:"4.14.0" ~base:40_000. 80_000.))
+    (metrics (check ~ocaml:"4.14.0" ~base:40_000. 80_000.));
+  (* a row written before the allocation columns existed *)
+  let legacy =
+    "{\n  \"schema\": \"optik-hostperf-v1\",\n  \"results\": [\n\
+    \  {\"name\": \"row\", \"threads\": 1, \"ops\": 1000, \"accesses\": 10000, \
+     \"events\": 100, \"host_s\": 1.000000, \"ops_per_hs\": 1000.0, \
+     \"accesses_per_hs\": 10000.0, \"events_per_hs\": 100.0}\n  ]\n}\n"
+  in
+  Alcotest.(check int) "a pre-words row parses" 1
+    (List.length (H.parse_baseline legacy));
+  Alcotest.check pair "a pre-words row skips the words gate" ([], [ "row" ])
+    (metrics
+       (H.check_baseline ~baseline:legacy ~tolerance_pct:20. [ row 80_000. ]));
+  (* names are written as JSON strings, not OCaml literals *)
+  let odd = { (row 1.) with H.r_name = "a\"b\\c\001" } in
+  Alcotest.(check (list string)) "names round-trip" [ odd.H.r_name ]
+    (List.map (fun b -> b.H.b_name) (H.parse_baseline (H.to_json [ odd ])))
 
 let () =
   Alcotest.run "report"
