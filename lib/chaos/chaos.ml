@@ -139,9 +139,9 @@ let batch_tasks fam ~trials ~batch ~seed =
           Format.pp_print_flush ppf ();
           (failed, Buffer.contents buf)))
 
-let fleet fam ~jobs ~trials ~batch ~seed ppf =
+let fleet ?words fam ~jobs ~trials ~batch ~seed ppf =
   let results =
-    Harness.Fleet.map ~jobs ~reset:fresh_world
+    Harness.Fleet.map ~jobs ~reset:fresh_world ?words
       (batch_tasks fam ~trials ~batch ~seed)
   in
   List.iter (fun (_, out) -> Format.pp_print_string ppf out) results;

@@ -68,6 +68,7 @@ val replay : 'a family -> string -> Format.formatter -> int
     of oracle failures (0 = passes). *)
 
 val fleet :
+  ?words:float ref ->
   'a family ->
   jobs:int ->
   trials:int ->
@@ -78,7 +79,8 @@ val fleet :
 (** {!fuzz} farmed out over [Harness.Fleet]: one task per [batch]
     consecutive trials, on [jobs] worker domains, each task starting from
     {!fresh_world}. Prints exactly what [fuzz ~runs:trials] prints,
-    whatever the jobs/batch split. *)
+    whatever the jobs/batch split. [words] receives the minor words the
+    tasks allocated on their worker domains (see [Harness.Fleet.map]). *)
 
 (** {1 Structure trials}
 

@@ -54,8 +54,17 @@ let () =
     domains; it is further capped by the task count. If any task raises,
     the first failure in {e task order} is re-raised as {!Task_failed}
     after all workers have drained (workers don't abandon the fleet —
-    deterministic trials that fail, fail cheaply). *)
-let map ?jobs ?(reset = fun () -> ()) (tasks : 'a task list) : 'a list =
+    deterministic trials that fail, fail cheaply).
+
+    [words], if given, is set to the words the tasks allocated in the
+    minor heap, each read as the [Gc.minor_words] delta of its task on
+    the worker domain that ran it (that counter is per domain, so the
+    calling domain cannot see its workers' allocation), summed over
+    tasks. Words a task allocates directly on the major heap are not
+    counted. *)
+let map ?jobs ?(reset = fun () -> ()) ?words (tasks : 'a task list) :
+    'a list =
+  Option.iter (fun w -> w := 0.) words;
   match tasks with
   | [] -> []
   | _ ->
@@ -70,6 +79,7 @@ let map ?jobs ?(reset = fun () -> ()) (tasks : 'a task list) : 'a list =
       let results : ('a, exn * string) result option array =
         Array.make n None
       in
+      let task_words = Array.make n 0. in
       let next = Atomic.make 0 in
       let worker () =
         let rec loop () =
@@ -78,11 +88,13 @@ let map ?jobs ?(reset = fun () -> ()) (tasks : 'a task list) : 'a list =
             (results.(i) <-
                (match
                   reset ();
+                  task_words.(i) <- Gc.minor_words ();
                   tasks.(i).run ()
                 with
                | v -> Some (Ok v)
                | exception e ->
                    Some (Error (e, Printexc.get_backtrace ()))));
+            task_words.(i) <- Gc.minor_words () -. task_words.(i);
             loop ()
           end
         in
@@ -90,6 +102,7 @@ let map ?jobs ?(reset = fun () -> ()) (tasks : 'a task list) : 'a list =
       in
       let domains = Array.init jobs (fun _ -> Domain.spawn worker) in
       Array.iter Domain.join domains;
+      Option.iter (fun w -> w := Array.fold_left ( +. ) 0. task_words) words;
       Array.iteri
         (fun i r ->
           match r with

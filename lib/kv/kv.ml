@@ -249,6 +249,9 @@ module KT = Txn.Make (Sim.Sim_rt)
 
 let store_obj (Store { sops; st; _ }) = KT.obj sops st
 
+(* A crash loses the whole store: the wipe rebuilds it empty at the same
+   capacity, allocating every bucket afresh inside the running
+   workload. *)
 let store_wipe (Store ({ sops = (module S); _ } as s)) =
   s.st <- S.create ~capacity:s.capacity ()
 
@@ -448,11 +451,14 @@ let account_initial = 100
 let create (cfg : config) : t =
   if cfg.nshards <= 0 then invalid_arg "Kv.create: nshards must be positive";
   let (module S : R.SET_OPS) = rep_module cfg.rep in
-  (* Buckets per store. Elements are unique per acked put, so a store
-     holds at most ~ops/nshards of them; chained buckets at load factor
-     2-4 are fine for a simulated store, and each simulated bucket is
-     expensive host-side (its atomics are tracked cache lines), so do
-     NOT scale buckets linearly with ops. *)
+  (* Buckets per store: ops / (2 * nshards), clamped to [256, 1024]. A
+     store never holds more elements than the puts routed to its shard
+     (about ops / nshards), so chains stay a few nodes long. On the
+     simulator a bucket of the default rep costs about 230 words to
+     create: an ll-optik list with its two sentinel nodes, and a QSBR
+     whose per-thread stamps are built on first touch. The 8 stores of
+     a 4-shard run at the cap thus cost about 1.8M words, and every
+     [store_wipe] pays a store's share again. *)
   let capacity =
     max 256 (min 1024 (cfg.ops / (2 * max 1 cfg.nshards)))
   in

@@ -11,7 +11,7 @@
     and the fine-grained list (§4.2) leaves deleted nodes locked forever
     precisely so that a reclaimer cannot hand them out again.
 
-    Protocol: each thread [i] owns an activity stamp [ts.(i)], incremented
+    Protocol: each thread [i] owns an activity stamp [stamp t i], incremented
     when an operation begins (stamp becomes odd = inside an operation) and
     when it ends (even = quiescent). Retired objects accumulate in
     per-thread batches; a full batch is sealed with a snapshot of all
@@ -33,12 +33,11 @@ module Make (Rt : RT) = struct
     mutable n_freed : int;
   }
 
-  type 'a t = {
-    ts : int Rt.atomic array;
+  (* Host-side bookkeeping, built by the first call that needs it
+     ([retire], [flush], [declare_dead], [stalled]): most instances (one
+     per hash-table bucket) never retire anything. *)
+  type 'a host = {
     slots : 'a slot array;
-    batch_size : int;
-    free_fn : 'a -> unit;
-    max_threads : int;
     (* Epoch-stall detection: a thread that crashes or stalls inside an
        operation never advances its stamp again and would otherwise block
        reclamation forever, growing [pending] without bound. Each reclaim
@@ -49,10 +48,20 @@ module Make (Rt : RT) = struct
        this safe in OCaml — a wrongly-declared thread that resumes reads
        nodes the GC still keeps alive — whereas a real allocator would
        need the declaration to be conservative. *)
-    stall_obs : int;
     obs : int array;  (** consecutive blocked-with-same-stamp observations *)
     obs_stamp : int array;  (** stamp at the last observation of [i] *)
     dead : bool array;
+  }
+
+  type 'a t = {
+    ts : int Rt.row;
+        (** one stamp per thread; a stamp's cell is built when its thread
+            first touches it, its line id is reserved at creation *)
+    batch_size : int;
+    free_fn : 'a -> unit;
+    max_threads : int;
+    stall_obs : int;
+    mutable host : 'a host option;
   }
 
   let default_batch = 64
@@ -60,57 +69,72 @@ module Make (Rt : RT) = struct
   let create ?(max_threads = 128) ?(batch_size = default_batch)
       ?(stall_obs = 0) ?(free = fun _ -> ()) () =
     {
-      ts = Array.init max_threads (fun _ -> Rt.atomic 0);
-      slots =
-        Array.init max_threads (fun _ ->
-            {
-              current = [];
-              current_n = 0;
-              sealed = [];
-              n_retired = 0;
-              n_freed = 0;
-            });
+      ts = Rt.atomic_row max_threads 0;
       batch_size;
       free_fn = free;
       max_threads;
       stall_obs;
-      obs = Array.make max_threads 0;
-      obs_stamp = Array.make max_threads 0;
-      dead = Array.make max_threads false;
+      host = None;
     }
+
+  let host t =
+    match t.host with
+    | Some h -> h
+    | None ->
+        let n = t.max_threads in
+        let h =
+          {
+            slots =
+              Array.init n (fun _ ->
+                  {
+                    current = [];
+                    current_n = 0;
+                    sealed = [];
+                    n_retired = 0;
+                    n_freed = 0;
+                  });
+            obs = Array.make n 0;
+            obs_stamp = Array.make n 0;
+            dead = Array.make n false;
+          }
+        in
+        t.host <- Some h;
+        h
+
+  let[@inline] stamp t i = Rt.row_cell t.ts i
 
   let in_op stamp = stamp land 1 = 1
 
   (* Operation boundaries. The stamp is only ever written by its owner, so
      a load + release store suffices (no RMW). *)
   let op_begin t =
-    let i = Rt.tid () in
-    let s = Rt.get t.ts.(i) in
+    let c = stamp t (Rt.tid ()) in
+    let s = Rt.get c in
     if in_op s then invalid_arg "Qsbr.op_begin: already inside an operation";
-    Rt.set t.ts.(i) (s + 1)
+    Rt.set c (s + 1)
 
   let op_end t =
-    let i = Rt.tid () in
-    let s = Rt.get t.ts.(i) in
+    let c = stamp t (Rt.tid ()) in
+    let s = Rt.get c in
     if not (in_op s) then invalid_arg "Qsbr.op_end: not inside an operation";
-    Rt.set t.ts.(i) (s + 1)
+    Rt.set c (s + 1)
 
   (* A quiescent pass outside any bracketed operation. *)
   let quiescent t =
-    let i = Rt.tid () in
-    let s = Rt.get t.ts.(i) in
+    let c = stamp t (Rt.tid ()) in
+    let s = Rt.get c in
     if in_op s then invalid_arg "Qsbr.quiescent: inside an operation";
-    Rt.set t.ts.(i) (s + 2)
+    Rt.set c (s + 2)
 
   (* A sealed batch is safe once every thread that was inside an operation
      at sealing time has moved on (threads declared dead don't count). *)
-  let batch_safe t (b : 'a batch) =
+  let batch_safe t h (b : 'a batch) =
     let ok = ref true in
     let n = t.max_threads in
     let i = ref 0 in
     while !ok && !i < n do
       let snap = b.snapshot.(!i) in
-      if (not t.dead.(!i)) && in_op snap && Rt.get t.ts.(!i) = snap then
+      if (not h.dead.(!i)) && in_op snap && Rt.get (stamp t !i) = snap then
         ok := false;
       incr i
     done;
@@ -119,24 +143,24 @@ module Make (Rt : RT) = struct
   (* Count one stall observation against every thread blocking batch [b]
      with an unchanged stamp; returns whether any crossed [stall_obs] and
      was declared dead (so the caller should retry reclamation). *)
-  let note_stalled t (b : 'a batch) =
+  let note_stalled t h (b : 'a batch) =
     let newly_dead = ref false in
     for i = 0 to t.max_threads - 1 do
       let snap = b.snapshot.(i) in
-      if (not t.dead.(i)) && in_op snap then
-        let cur = Rt.get t.ts.(i) in
+      if (not h.dead.(i)) && in_op snap then
+        let cur = Rt.get (stamp t i) in
         if cur = snap then (
-          if t.obs_stamp.(i) = snap then t.obs.(i) <- t.obs.(i) + 1
+          if h.obs_stamp.(i) = snap then h.obs.(i) <- h.obs.(i) + 1
           else (
-            t.obs_stamp.(i) <- snap;
-            t.obs.(i) <- 1);
-          if t.stall_obs > 0 && t.obs.(i) >= t.stall_obs then (
-            t.dead.(i) <- true;
+            h.obs_stamp.(i) <- snap;
+            h.obs.(i) <- 1);
+          if t.stall_obs > 0 && h.obs.(i) >= t.stall_obs then (
+            h.dead.(i) <- true;
             newly_dead := true))
-        else if t.obs_stamp.(i) = snap then (
+        else if h.obs_stamp.(i) = snap then (
           (* moved on since we last looked: progressing, not stalled *)
-          t.obs.(i) <- 0;
-          t.obs_stamp.(i) <- cur)
+          h.obs.(i) <- 0;
+          h.obs_stamp.(i) <- cur)
     done;
     !newly_dead
 
@@ -146,10 +170,10 @@ module Make (Rt : RT) = struct
      a newer batch can only be safe if checked independently anyway). The
      first unsafe batch also feeds stall detection: if that declares a
      blocker dead, retry, so a dead thread frees everything it blocked. *)
-  let reclaim t slot =
+  let reclaim t h slot =
     let rec go oldest_first =
       let rec take_safe = function
-        | b :: rest when batch_safe t b ->
+        | b :: rest when batch_safe t h b ->
             List.iter t.free_fn b.items;
             slot.n_freed <- slot.n_freed + List.length b.items;
             take_safe rest
@@ -157,50 +181,55 @@ module Make (Rt : RT) = struct
       in
       match take_safe oldest_first with
       | [] -> []
-      | b :: _ as remaining -> if note_stalled t b then go remaining else remaining
+      | b :: _ as remaining ->
+          if note_stalled t h b then go remaining else remaining
     in
     slot.sealed <- List.rev (go (List.rev slot.sealed))
 
   let declare_dead t i =
     if i < 0 || i >= t.max_threads then
       invalid_arg "Qsbr.declare_dead: bad thread id";
-    t.dead.(i) <- true
+    (host t).dead.(i) <- true
 
   (* Threads the reclaimer currently believes are stuck: declared dead, or
      observed blocking the reclamation frontier with an unchanged stamp on
      at least two consecutive attempts. *)
   let stalled t =
+    let h = host t in
     let acc = ref [] in
     for i = t.max_threads - 1 downto 0 do
-      if t.dead.(i) || t.obs.(i) >= 2 then acc := i :: !acc
+      if h.dead.(i) || h.obs.(i) >= 2 then acc := i :: !acc
     done;
     !acc
 
   let seal t slot =
     if slot.current_n > 0 then (
-      let snapshot = Array.init t.max_threads (fun i -> Rt.get t.ts.(i)) in
+      let snapshot = Array.init t.max_threads (fun i -> Rt.get (stamp t i)) in
       slot.sealed <- { snapshot; items = slot.current } :: slot.sealed;
       slot.current <- [];
       slot.current_n <- 0)
 
   let retire t x =
-    let slot = t.slots.(Rt.tid ()) in
+    let h = host t in
+    let slot = h.slots.(Rt.tid ()) in
     slot.current <- x :: slot.current;
     slot.current_n <- slot.current_n + 1;
     slot.n_retired <- slot.n_retired + 1;
     if slot.current_n >= t.batch_size then (
       seal t slot;
-      reclaim t slot)
+      reclaim t h slot)
 
   (* Force-seal the calling thread's batch and reclaim what is safe. *)
   let flush t =
-    let slot = t.slots.(Rt.tid ()) in
+    let h = host t in
+    let slot = h.slots.(Rt.tid ()) in
     seal t slot;
-    reclaim t slot
+    reclaim t h slot
 
   type stats = { retired : int; freed : int; pending : int }
 
   let stats t =
+    let slots = match t.host with Some h -> h.slots | None -> [||] in
     Array.fold_left
       (fun acc slot ->
         {
@@ -211,5 +240,5 @@ module Make (Rt : RT) = struct
             + List.fold_left (fun a b -> a + List.length b.items) 0 slot.sealed;
         })
       { retired = 0; freed = 0; pending = 0 }
-      t.slots
+      slots
 end

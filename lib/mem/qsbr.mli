@@ -6,7 +6,16 @@
     {!Make.op_end} (or call {!Make.quiescent} at other quiescent points),
     and {!Make.retire} unlinked nodes from inside the operation that
     unlinked them. An object is passed to [free] only after every thread
-    that was inside an operation at retirement time has finished it. *)
+    that was inside an operation at retirement time has finished it.
+
+    Memory: the [max_threads] stamps are one {!Rt.Rt_intf.RT.atomic_row}.
+    On the simulator their line ids (and allocation site) are reserved at
+    {!Make.create} and each stamp's cell is built when it is first
+    touched, so an instance costs memory only for the threads that use
+    it while line ids, hot-line attribution and simulated cycles stay
+    those of eagerly built stamps. The host-side per-thread slots and
+    stall bookkeeping are built on the first {!Make.retire},
+    {!Make.flush}, {!Make.declare_dead} or {!Make.stalled}. *)
 
 module Make (Rt : Rt.Rt_intf.RT) : sig
   type 'a t

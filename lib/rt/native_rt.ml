@@ -11,6 +11,12 @@ type 'a atomic = 'a Atomic.t
 let atomic v = Atomic.make v
 let atomic_packed ?streaming:_ ~group:_ v = Atomic.make v
 let atomic_with _other v = Atomic.make v
+
+type 'a row = 'a Atomic.t array
+
+let atomic_row n v = Array.init n (fun _ -> Atomic.make v)
+let row_cell = Array.get
+
 let get = Atomic.get
 let set = Atomic.set
 let cas = Atomic.compare_and_set

@@ -174,6 +174,21 @@ module type RT = sig
       must cost one line access on the simulator too. The native backend
       ignores the anchor. *)
 
+  type 'a row
+  (** A fixed-size row of single-line cells, indexed from 0: per-thread
+      slots such as reclamation stamps. *)
+
+  val atomic_row : int -> 'a -> 'a row
+  (** [atomic_row n v] is a row of [n] cells holding [v], each on its own
+      cache line, as if made by [Array.init n (fun _ -> atomic v)]. The
+      simulator reserves the [n] line ids at creation and builds a cell
+      on first touch, so slots that are never used cost no memory; the
+      native backend builds every cell at once. *)
+
+  val row_cell : 'a row -> int -> 'a atomic
+  (** [row_cell r i] is cell [i] of [r]. Every call returns the same
+      cell. *)
+
   val get : 'a atomic -> 'a
   (** Atomic load with acquire semantics. *)
 

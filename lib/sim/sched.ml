@@ -261,12 +261,8 @@ let dispatching d th f () =
 (* ------------------------------------------------------------------ *)
 (* Locations                                                           *)
 
-let new_line d ~streaming =
-  let id = d.d_lines + 1 in
-  d.d_lines <- id;
-  (* Attribute the line to the allocation site named by the innermost
-     [Probe.with_site] scope, if any (hot-line profiles). *)
-  Obs.Journal.note_line id;
+(* A line in no cache, as of the current epoch. *)
+let cold_line d id ~streaming =
   {
     id;
     epoch = d.d_epoch;
@@ -277,6 +273,14 @@ let new_line d ~streaming =
     stalls = 0;
     streaming;
   }
+
+let new_line d ~streaming =
+  let id = d.d_lines + 1 in
+  d.d_lines <- id;
+  (* Attribute the line to the allocation site named by the innermost
+     [Probe.with_site] scope, if any (hot-line profiles). *)
+  Obs.Journal.note_line id;
+  cold_line d id ~streaming
 
 let fresh_line ?(streaming = false) () = new_line (dstate ()) ~streaming
 
@@ -301,6 +305,39 @@ let loc_packed ?(streaming = false) ~group v =
         l
   in
   { v; line }
+
+(* A row of single-line cells whose lines are built on first touch. The
+   row reserves the [n] consecutive line ids that [n] eager [loc] calls
+   would have taken, and notes the current allocation site for each, so
+   later locations get the ids they always had and hot-line profiles
+   attribute the row's lines as before. [row_cell] builds cell [i] on its
+   first call, with line id [base + 1 + i] in the cold state. An eager
+   line is cold at its first access too (fresh in this epoch, or reset by
+   [refresh] in a later one), so the first access costs the same. Until
+   then every slot holds the row's placeholder [r_hole], which is never
+   handed out. *)
+type 'a row = { r_base : int; r_cells : 'a loc array; r_hole : 'a loc }
+
+let row n v =
+  let d = dstate () in
+  let base = d.d_lines in
+  d.d_lines <- base + n;
+  for id = base + 1 to base + n do
+    Obs.Journal.note_line id
+  done;
+  let hole = { v; line = dummy_line } in
+  { r_base = base; r_cells = Array.make n hole; r_hole = hole }
+
+let row_cell r i =
+  let c = r.r_cells.(i) in
+  if c != r.r_hole then c
+  else
+    let line = cold_line (dstate ()) (r.r_base + 1 + i) ~streaming:false in
+    let c = { v = r.r_hole.v; line } in
+    r.r_cells.(i) <- c;
+    c
+
+let line_id l = l.line.id
 
 let fresh_group () =
   let d = dstate () in

@@ -42,6 +42,25 @@ val loc_packed : ?streaming:bool -> group:int -> 'a -> 'a loc
 val loc_with : 'b loc -> 'a -> 'a loc
 (** Same line as an existing cell — one node, one line. *)
 
+type 'a row
+(** A row of single-line cells built on first touch (see
+    {!Rt.Rt_intf.RT.atomic_row}). *)
+
+val row : int -> 'a -> 'a row
+(** [row n v] reserves the [n] line ids that [n] calls of [loc v] would
+    take, in the same order, and attributes them to the current
+    [Probe.with_site] scope. It builds no cell. *)
+
+val row_cell : 'a row -> int -> 'a loc
+(** Cell [i] of the row, built on the first call with the [i]-th
+    reserved line id in the cold state: it costs the same to access as
+    the eager [loc] it stands for, and every call returns the same
+    cell. *)
+
+val line_id : 'a loc -> int
+(** The id of the cache line a cell lives on, as hot-line profiles and
+    stall reports print it. *)
+
 val fresh_group : unit -> int
 (** A fresh packing-group id (distinct from {!Rt.Group.fresh}'s space;
     either works, they must just not collide). *)

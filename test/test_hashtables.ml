@@ -162,6 +162,25 @@ let test_resize_concurrent_sim () =
     (H.size t);
   Alcotest.(check bool) "valid" true (H.validate t)
 
+(* Creating a table allocates per bucket what the bucket's list needs,
+   not per-thread reclamation state for threads that never run: the
+   QSBR stamps of each bucket's list are built on first touch. With
+   eager stamps (128 stamp cells and host slots per list) creation cost
+   3,053 words per bucket. Only the minor heap is counted, where every
+   per-bucket block lives. *)
+let max_create_words_per_bucket = 400.
+
+let test_create_words_per_bucket () =
+  let (module S : R.SET_OPS) = R.Sim_backend.find_named sim_hts "optik" in
+  let buckets = 1024 in
+  let w0 = Gc.minor_words () in
+  let t = S.create ~capacity:buckets () in
+  let per_bucket = (Gc.minor_words () -. w0) /. float_of_int buckets in
+  ignore (Sys.opaque_identity t);
+  if per_bucket > max_create_words_per_bucket then
+    Alcotest.failf "ht-optik create: %.1f words per bucket > %.0f" per_bucket
+      max_create_words_per_bucket
+
 let () =
   Alcotest.run "hashtables"
     [
@@ -180,5 +199,10 @@ let () =
             test_resize_grows_and_preserves;
           Alcotest.test_case "resize under concurrency" `Quick
             test_resize_concurrent_sim;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "optik create words per bucket" `Quick
+            test_create_words_per_bucket;
         ] );
     ]

@@ -204,6 +204,37 @@ let qcheck_retire_counts =
       let st = Q.stats q in
       st.Q.retired = !retired && st.Q.freed + st.Q.pending = !retired)
 
+module St = Dstruct.Stacks.Make (Sim.Sim_rt)
+
+(* Stamp cells are built on first touch, yet their lines belong to the
+   site the QSBR was created under, with the ids eager stamps had: a
+   Treiber stack's recorded profile attributes its top word and the
+   stamp line of every thread that ran to ["stack-treiber.top"]. The
+   record's fields are evaluated right to left, so the QSBR reserves its
+   128 stamp ids just before the top word's. *)
+let test_stamp_lines_attributed () =
+  let s = St.Treiber.create () in
+  let top = Sim.Sched.line_id s.St.Treiber.top in
+  let nthreads = 3 in
+  Obs.Journal.start ();
+  ignore
+    (Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads (fun tid ->
+         for i = 1 to 10 do
+           St.Treiber.push s ((tid * 100) + i);
+           ignore (St.Treiber.pop s : int option)
+         done));
+  let r = Obs.Journal.stop () in
+  let ids =
+    List.filter_map
+      (fun (ls : Obs.Journal.line_stat) ->
+        if ls.ls_site = Some "stack-treiber.top" then Some (ls.ls_id - top)
+        else None)
+      r.Obs.Journal.lines
+  in
+  Alcotest.(check (list int)) "one stamp line per thread, then the top line"
+    (List.init nthreads (fun i -> i - 128) @ [ 0 ])
+    ids
+
 let () =
   Alcotest.run "qsbr"
     [
@@ -226,5 +257,10 @@ let () =
             test_stall_obs_bounds_damage;
           Alcotest.test_case "declare_dead drains" `Quick
             test_declare_dead_manual;
+        ] );
+      ( "stamp lines",
+        [
+          Alcotest.test_case "attributed to the creating site" `Quick
+            test_stamp_lines_attributed;
         ] );
     ]

@@ -540,6 +540,95 @@ let test_cost_colocation () =
          d2 := Sched.now () - t0));
   Alcotest.(check int) "co-located field read pipelines" 1 !d2
 
+(* ------------------------------------------------------------------ *)
+(* Rows: cells built on first touch                                    *)
+
+(* A row reserves the line ids of the eager cells it stands for: the
+   line-id counter moves by exactly [n], the next cell gets the id it
+   had after [n] eager cells, and each row cell gets its reserved id
+   whatever order the cells are first touched in. *)
+let test_row_line_ids () =
+  let n = 5 in
+  let relative a ids b =
+    (List.map (fun id -> id - Sched.line_id a) ids, Sched.line_id b - Sched.line_id a)
+  in
+  let eager =
+    let a = Sched.loc 0 in
+    let cells = List.init n (fun _ -> Sched.loc 0) in
+    let b = Sched.loc 0 in
+    relative a (List.map Sched.line_id cells) b
+  in
+  let row =
+    let a = Sched.loc 0 in
+    let r = Sched.row n 0 in
+    let b = Sched.loc 0 in
+    let ids = Array.make n 0 in
+    List.iter
+      (fun i -> ids.(i) <- Sched.line_id (Sched.row_cell r i))
+      [ 3; 0; 4; 1; 2 ];
+    relative a (Array.to_list ids) b
+  in
+  Alcotest.(check (pair (list int) int))
+    "eager ids" ([ 1; 2; 3; 4; 5 ], n + 1) eager;
+  Alcotest.(check (pair (list int) int)) "row ids = eager ids" eager row;
+  let r = Sched.row 2 7 in
+  Alcotest.(check bool) "one cell per slot" true
+    (Sched.row_cell r 1 == Sched.row_cell r 1);
+  Alcotest.(check int) "initial value" 7 (Sched.read (Sched.row_cell r 1))
+
+(* The first access to a never-touched row cell costs what the first
+   access to an eager cell costs: the line built on first touch is cold,
+   as an eager line is at its first access, whether that comes in the
+   epoch the cell was made in or in a later one. The same scenario runs
+   over eager cells and over row cells and must time every access
+   alike. *)
+let test_row_first_touch_cost () =
+  let scenario (cells : int -> int -> int Sched.loc) =
+    let costs = ref [] in
+    let timed f =
+      let t0 = Sched.now () in
+      f ();
+      costs := (Sched.now () - t0) :: !costs
+    in
+    let read c = timed (fun () -> ignore (Sched.read c : int)) in
+    let cell = cells 3 in
+    (* run 1: first touches of cells made before it, by two threads *)
+    ignore
+      (Sched.run ~topology:Topology.xeon ~nthreads:2 (fun tid ->
+           if tid = 0 then (
+             read (cell 0);
+             timed (fun () -> ignore (Sched.faa (cell 1) 1 : int)))
+           else (
+             Sched.work 500;
+             read (cell 1))));
+    (* run 2 bumps the epoch: cell 0 is cold again, cell 2 is new *)
+    ignore
+      (Sched.run ~topology:Topology.xeon ~nthreads:1 (fun _ ->
+           read (cell 0);
+           read (cell 2);
+           read (cell 0)));
+    (* cells made and first touched inside one run *)
+    ignore
+      (Sched.run ~topology:Topology.xeon ~nthreads:1 (fun _ ->
+           let inner = cells 2 in
+           read (inner 1);
+           read (inner 0)));
+    List.rev !costs
+  in
+  let eager n =
+    let a = Array.init n (fun _ -> Sched.loc 0) in
+    fun i -> a.(i)
+  in
+  let row n =
+    let r = Sched.row n 0 in
+    fun i -> Sched.row_cell r i
+  in
+  let e = scenario eager in
+  Alcotest.(check (list int)) "row cells cost what eager cells cost" e
+    (scenario row);
+  Alcotest.(check bool) "first read is a cold miss" true
+    (List.hd e > Topology.xeon.Topology.c_hit)
+
 let test_remote_transfer_priced () =
   (* two threads on different sockets bouncing a line: the remote read
      must cost at least the cross-socket transfer *)
@@ -629,5 +718,11 @@ let () =
             test_cost_colocation;
           Alcotest.test_case "remote transfer priced" `Quick
             test_remote_transfer_priced;
+        ] );
+      ( "rows",
+        [
+          Alcotest.test_case "reserved line ids" `Quick test_row_line_ids;
+          Alcotest.test_case "first touch costs as eager" `Quick
+            test_row_first_touch_cost;
         ] );
     ]
